@@ -5,10 +5,18 @@ class oracle for tiny bounds.
 Enumeration strategy per family: substitute (u, v, x) with y built from
 (u, v), so the bound becomes |y(x^2-y)| <= M (conductor) or |y(x^2-y)^2| <= M
 (discriminant).  The outer loop runs over the small cofactor (A or u), the
-inner dimension is a numpy x-array, and the cofactor ranges come from exact
-integer window endpoints computed once per |x|.  Shards partition the outer
-loop; every aggregate is a commutative sum, so shard count cannot change any
-output.
+middle dimension is a numpy x-array, and the inner cofactor ranges come from
+exact integer window endpoints computed once per |x|.
+
+Family 1 runs one A at a time.  Families 2 and 3 run in blocks of
+consecutive u (see BLOCK_XSCAN): a block builds flat (u, x) pair arrays
+once, turns each window piece into rows of stepped v-ranges, and expands
+the rows into candidates that are classified in chunks of at most
+CHUNK_CANDIDATES, so a block's memory stays bounded whatever its size.
+
+Shards partition the outer values by stride; every aggregate is a
+commutative sum, so neither the shard count nor the block and chunk sizes
+can change any output.
 """
 
 from __future__ import annotations
@@ -28,6 +36,14 @@ from .maximality import vec_is_maximal_at
 #: int64 safety caps for the vectorized engines (explicit errors above).
 X_MAX_CONDUCTOR = 250_000_000
 X_MAX_DISC = 200_000_000
+
+#: A block of family-2 or family-3 outer values u closes once its x-scan,
+#: 2*xmax+1 per value, reaches this size.  Blocks amortize the per-call
+#: numpy overhead; larger ones gain little time and raise the peak RSS.
+BLOCK_XSCAN = 1 << 15
+#: At most this many candidates go through one classification pass, which
+#: bounds the size of its temporaries.
+CHUNK_CANDIDATES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -254,9 +270,10 @@ class _Windows:
                     k += 1
         self.max_abs_y = int(max(self.neg_hi.max(initial=0), self.pos_hi.max(initial=0)))
 
-    def contains_mask(self, ax: np.ndarray, y: int) -> np.ndarray:
-        """Vectorized membership of a fixed y in the window at each |x|."""
-        if y < 0:
+    def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
+        """Vectorized membership of y in the window at each |x|; y is one
+        integer or one per |x|, all of one sign."""
+        if np.any(y < 0):
             return self.neg_hi[ax] >= -y
         m = np.zeros(len(ax), dtype=bool)
         for k in range(3):
@@ -268,8 +285,9 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _ragged(idx, starts, counts, step: int):
-    """Expand stepped ranges: for each k, counts[k] values starts[k]+step*j.
+def _ragged(idx, starts, counts, step):
+    """Expand stepped ranges: for each k, counts[k] values starts[k]+step*j,
+    where step is one integer or one per range.
 
     Returns (gathered idx entries, values) as flat arrays."""
     counts = np.maximum(counts, 0)
@@ -280,6 +298,8 @@ def _ragged(idx, starts, counts, step: int):
     idx, starts, counts = idx[nz], starts[nz], counts[nz]
     row = np.repeat(np.arange(len(counts)), counts)
     offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    if np.ndim(step):
+        step = step[nz][row]
     return idx[row], starts[row] + step * offs
 
 
@@ -328,14 +348,6 @@ class _Ctx:
             else:
                 out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
         return out
-
-    def run_unit(self, fam: int, outer: int, tal: Tallies) -> None:
-        if fam == 1:
-            _family1_unit(self, outer, tal)
-        elif fam == 2:
-            _family2_unit(self, outer, tal)
-        else:
-            _family3_unit(self, outer, tal)
 
 
 def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies, boundary=False):
@@ -535,41 +547,41 @@ def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
     return xs
 
 
-def _family2_unit(ctx: _Ctx, u: int, tal: Tallies):
+def _family2_unit(ctx: _Ctx, us: list[int], tal: Tallies):
     w = ctx.windows[2]
-    xs = _pruned_xs(w, u * u, parity=u & 1)
+    xs_of = [_pruned_xs(w, u * u, parity=u & 1) for u in us]
+    u = np.repeat(np.asarray(us, dtype=np.int64), [len(xs) for xs in xs_of])
+    xs = np.concatenate(xs_of)
+    _emit_rows(ctx, _emit_family2, _family2_rows(w, u, xs), tal)
+    # v = -u (u even) is the flagged boundary pair
+    pair = ((u & 1) == 0) & w.contains_mask(np.abs(xs), -u * u) & (xs % 8 == 0)
+    _emit_rows(ctx, _emit_family2, [_rows(u, xs, -u, pair, 0)], tal, boundary=True)
+
+
+def _family2_rows(w: _Windows, u, xs):
+    """Row batches of the (u, x) pairs: each branch and sign of u, then the
+    v = u ties (the B = 0 singletons)."""
     ax = np.abs(xs)
     for sign, lo_a, hi_a in _branches(w, ax):
-        vlo = np.maximum(_ceil_div(lo_a, u), u + 1)
-        vhi = hi_a // u
+        # a piece is reachable only if it holds some y = u*v with v > u
+        live = np.flatnonzero(hi_a >= np.maximum(lo_a, u * (u + 1)))
+        ul, xl = u[live], xs[live]
+        vlo = np.maximum(_ceil_div(lo_a[live], ul), ul + 1)
+        vhi = hi_a[live] // ul
         for su in (1, -1):
             sv = su * sign
-            u_v = su * u
-            res = (sv * (-u_v - 2 * xs)) % 16
-            first = vlo + (res - vlo) % 16
-            xi, vabs = _ragged(xs, first, (vhi - first) // 16 + 1, 16)
-            if len(xi) == 0:
-                continue
-            v_v = sv * vabs
-            y = u_v * v_v
-            _emit_family2(ctx, u_v, v_v, xi, y, tal)
-    # |v| = |u| ties: v = u is the B = 0 singleton, v = -u the flagged pair
+            u_v = su * ul
+            res = (sv * (-u_v - 2 * xl)) & 15
+            first = vlo + ((res - vlo) & 15)
+            yield _rows(u_v, xl, sv * first, ((vhi - first) >> 4) + 1, 16 * sv)
+    tie = w.contains_mask(ax, u * u)
     for su in (1, -1):
         u_v = su * u
-        mask = w.contains_mask(ax, u * u) & ((u_v + xs) % 8 == 0)
-        if mask.any():
-            xi = xs[mask]
-            vv = np.full(len(xi), u_v, dtype=np.int64)
-            _emit_family2(ctx, u_v, vv, xi, vv * u_v, tal)
-    if u % 2 == 0:
-        mask = w.contains_mask(ax, -u * u) & (xs % 8 == 0)
-        if mask.any():
-            xi = xs[mask]
-            vv = np.full(len(xi), -u, dtype=np.int64)
-            _emit_family2(ctx, u, vv, xi, -u * u * np.ones(len(xi), dtype=np.int64), tal, boundary=True)
+        yield _rows(u_v, xs, u_v, tie & ((u_v + xs) % 8 == 0), 0)
 
 
-def _emit_family2(ctx, u_v, v_v, xi, y, tal, boundary=False):
+def _emit_family2(ctx, u_v, v_v, xi, tal, boundary=False):
+    y = u_v * v_v
     A = (u_v + v_v + 2 * xi) >> 4
     B = (v_v - u_v) >> 2
     C = (u_v + v_v - 2 * xi) >> 2
@@ -577,64 +589,113 @@ def _emit_family2(ctx, u_v, v_v, xi, y, tal, boundary=False):
     _classify_and_tally(ctx, 2, A, B, C, y, wq, tal, boundary=boundary)
 
 
-def _family3_unit(ctx: _Ctx, u: int, tal: Tallies):
-    w = ctx.windows[3]
-    u2 = u * u
-    for u_v in ((u, -u) if u else (0,)):
-        xs = _pruned_xs(w, u2)
-        xs = xs[(u_v + xs) % 8 == 0]
-        if len(xs) == 0:
-            continue
-        ax = np.abs(xs)
-        for k in range(3):
-            lo_a, hi_a = w.pos_lo[k, ax], w.pos_hi[k, ax]
-            t_lo = np.maximum(lo_a - u2, 4)
-            t_hi = hi_a - u2
-            valid = t_hi >= t_lo
-            if not valid.any():
-                continue
-            vlo = vec_isqrt(np.maximum(t_lo - 1, 0)) + 1  # ceil sqrt
-            vhi = vec_isqrt(np.maximum(t_hi, 0))
-            vlo = vlo + (vlo & 1)  # v = 2B is even and positive
-            vlo = np.maximum(vlo, 2)
-            xi, v = _ragged(xs, vlo, np.where(valid, (vhi - vlo) // 2 + 1, 0), 2)
-            if len(xi) == 0:
-                continue
-            y = u2 + v * v
-            _emit_family3(ctx, u_v, v, xi, y, tal)
-        # v = 0: B = 0 singleton
-        if u > 0:
-            mask = w.contains_mask(ax, u2)
-            if mask.any():
-                xi = xs[mask]
-                _emit_family3(ctx, u_v, np.zeros(len(xi), dtype=np.int64), xi, np.full(len(xi), u2, dtype=np.int64), tal)
+def _family3_unit(ctx: _Ctx, us: list[int], tal: Tallies):
+    _emit_rows(ctx, _emit_family3, _family3_rows(ctx.windows[3], us), tal)
 
 
-def _emit_family3(ctx, u_v, v, xi, y, tal):
+def _family3_rows(w: _Windows, us: list[int]):
+    """Row batches of the (signed u, x) pairs, x = -u mod 8: each positive
+    window piece, then the v = 0 singletons."""
+    groups = []
+    for u in us:
+        xs = _pruned_xs(w, u * u)
+        r = xs & 7
+        groups.extend((u_v, xs[r == (-u_v & 7)]) for u_v in ((u, -u) if u else (0,)))
+    sizes = [len(xs) for _, xs in groups]
+    gid = np.repeat(np.arange(len(groups)), sizes)
+    u_v = np.repeat(np.array([u_v for u_v, _ in groups], dtype=np.int64), sizes)
+    xs = np.concatenate([xs for _, xs in groups])
+    u2 = u_v * u_v
+    ax = np.abs(xs)
+    for k in range(3):
+        lo_a, hi_a = w.pos_lo[k, ax], w.pos_hi[k, ax]
+        t_lo = np.maximum(lo_a - u2, 4)
+        t_hi = hi_a - u2
+        valid = t_hi >= t_lo
+        # square roots only for the signed u whose piece is nonempty somewhere
+        scan = np.bincount(gid[valid], minlength=len(groups))[gid] > 0
+        t_lo, t_hi, valid = t_lo[scan], t_hi[scan], valid[scan]
+        vlo = vec_isqrt(np.maximum(t_lo - 1, 0)) + 1  # ceil sqrt
+        vhi = vec_isqrt(np.maximum(t_hi, 0))
+        vlo = vlo + (vlo & 1)  # v = 2B is even and positive
+        vlo = np.maximum(vlo, 2)
+        count = np.where(valid, (vhi - vlo) // 2 + 1, 0)
+        yield _rows(u_v[scan], xs[scan], vlo, count, 2)
+    yield _rows(u_v, xs, 0, (u2 > 0) & w.contains_mask(ax, u2), 0)
+
+
+def _emit_family3(ctx, u_v, v, xi, tal, boundary=False):
+    y = u_v * u_v + v * v
     A = (u_v + xi) >> 3
     B = v >> 1
     C = (xi - u_v) >> 1
     wq = (y - xi * xi) >> 2
-    _classify_and_tally(ctx, 3, A, B, C, y, wq, tal)
+    _classify_and_tally(ctx, 3, A, B, C, y, wq, tal, boundary=boundary)
+
+
+def _rows(u_v, xs, start, count, step):
+    """The nonempty rows of stepped v-ranges, one per (u_v, x) pair: count
+    values start + step*j.  Arguments broadcast against each other."""
+    cols = np.broadcast_arrays(u_v, xs, start, count.astype(np.int64), step)
+    keep = cols[3] > 0
+    return [c[keep] for c in cols]
+
+
+def _emit_rows(ctx, emit, batches, tal, boundary=False):
+    """Classify the candidates of a stream of row batches.  Batches are held
+    back until they reach CHUNK_CANDIDATES candidates, so one block's rows
+    never sit in memory all at once."""
+    pending, n = [], 0
+    for rows in batches:
+        pending.append(rows)
+        n += int(rows[3].sum())
+        if n >= CHUNK_CANDIDATES:
+            _classify_rows(ctx, emit, pending, tal, boundary)
+            pending, n = [], 0
+    if n:
+        _classify_rows(ctx, emit, pending, tal, boundary)
+
+
+def _classify_rows(ctx, emit, batches, tal, boundary):
+    """Expand rows into candidates, at most CHUNK_CANDIDATES per
+    classification pass (one longer row makes its own pass)."""
+    u_v, xs, start, count, step = (np.concatenate(col) for col in zip(*batches))
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(count):
+        cap = ends[lo] - count[lo] + CHUNK_CANDIDATES
+        hi = max(int(np.searchsorted(ends, cap, side="right")), lo + 1)
+        r, v = _ragged(np.arange(lo, hi), start[lo:hi], count[lo:hi], step[lo:hi])
+        emit(ctx, u_v[r], v, xs[r], tal, boundary)
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _run_shard(args):
-    ctx, units = args
-    tal = Tallies()
-    for fam, outer in units:
-        ctx.run_unit(fam, outer, tal)
-    return tal.counts, tal.excluded, tal.records
+def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
+    """Run units into tal: family 1 one A at a time, families 2 and 3 in
+    blocks of consecutive outer values u."""
+    for fam in ctx.config.families:
+        outers = [outer for f, outer in units if f == fam]
+        if fam == 1:
+            for A in outers:
+                _family1_unit(ctx, A, tal)
+            continue
+        unit = _family2_unit if fam == 2 else _family3_unit
+        size = -(-BLOCK_XSCAN // (2 * ctx.windows[fam].xmax + 1))
+        for k in range(0, len(outers), size):
+            unit(ctx, outers[k : k + size], tal)
+    return tal
 
 
 _FORK_CTX = None
 
 
 def _run_shard_fork(units):
-    return _run_shard((_FORK_CTX, units))
+    tal = _run_shard(_FORK_CTX, units, Tallies())
+    return tal.counts, tal.excluded, tal.records
 
 
 def run_census(config: CensusConfig) -> Tallies:
@@ -643,8 +704,7 @@ def run_census(config: CensusConfig) -> Tallies:
     units = ctx.units()
     tal = Tallies()
     if config.shards == 1:
-        for fam, outer in units:
-            ctx.run_unit(fam, outer, tal)
+        _run_shard(ctx, units, tal)
     else:
         import multiprocessing as mp
 

@@ -72,10 +72,10 @@ def _quadratic_split(a4, a3, a2, a1, a0):
     """An integral splitting (p,q,r),(s,t,u) of a primitive quartic, or None.
 
     System: ps=a4, qs+pt=a3, pu+qt+rs=a2, qu+rt=a1, ru=a0.  For fixed outer
-    coefficients the pair (q,t) solves a 2x2 linear system; the degenerate
-    determinant case scans q within a Mignotte-style factor bound.
+    coefficients the pair (q,t) solves a 2x2 linear system; in the degenerate
+    determinant case t = (a3 - qs)/p turns the a2 equation into the quadratic
+    s q^2 - a3 q + p (a2 - pu - rs) = 0.
     """
-    mign = 4 * (isqrt(a4 * a4 + a3 * a3 + a2 * a2 + a1 * a1 + a0 * a0) + 1)
     for p in divisors(a4):
         s = a4 // p
         for u_abs in divisors(a0):
@@ -90,9 +90,13 @@ def _quadratic_split(a4, a3, a2, a1, a0):
                     if p * u + q * t + r * s == a2:
                         return (p, q, r), (s, t, u)
                 else:
-                    for q in range(-mign, mign + 1):
-                        if (a3 - q * s) % p:
+                    d = a3 * a3 - 4 * s * p * (a2 - p * u - r * s)
+                    if not is_square(d):
+                        continue
+                    for num in (a3 + isqrt(d), a3 - isqrt(d)):
+                        if num % (2 * s) or (a3 - num // (2 * s) * s) % p:
                             continue
+                        q = num // (2 * s)
                         t = (a3 - q * s) // p
                         if q * u + t * r == a1 and p * u + q * t + r * s == a2:
                             return (p, q, r), (s, t, u)

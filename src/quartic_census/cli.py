@@ -276,16 +276,20 @@ def cmd_census(args, globals_) -> dict:
     )
 
     r2 = None if args.r2 in (None, "all") else int(args.r2)
-    families = tuple(int(t) for t in args.families.split(","))
-    cfg = CensusConfig(
-        x=args.x,
-        mode="conductor" if args.census_mode == "conductor" else "discriminant",
-        galois=args.galois,
-        r2=r2,
-        families=families,
-        shards=int(globals_["shards"]),
-        emit=bool(args.emit),
-    )
+    try:
+        cfg = CensusConfig(
+            x=args.x,
+            mode="conductor" if args.census_mode == "conductor" else "discriminant",
+            galois=args.galois,
+            r2=r2,
+            families=tuple(int(t) for t in args.families.split(",")),
+            shards=int(globals_["shards"]),
+            emit=bool(args.emit),
+        )
+    except ValueError as exc:
+        # a bad setting is a usage error: one line and exit code 2, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     tal = run_census(cfg)
     summary = summarize(cfg, tal)
     summary["output_hash"] = output_hash(summary, tal if cfg.emit else None)

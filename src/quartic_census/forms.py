@@ -122,11 +122,6 @@ class GL2Mat:
         )
 
 
-IDENTITY = GL2Mat(1, 0, 0, 1)
-
-#: Round generators of GL2(Z) used by orbit searches.
-GL2_GENERATORS = (GL2Mat(1, 1, 0, 1), GL2Mat(0, 1, 1, 0), GL2Mat(1, 0, 0, -1))
-
 #: The eight matrices T with J_T = +-J for each of the three reference
 #: quadratic forms; acting on a family they permute coordinates.
 STABILIZER_EIGHT = tuple(

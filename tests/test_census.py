@@ -134,15 +134,36 @@ def test_strict_bounds_and_empty():
     assert s["total"] > 0
 
 
+#: output_hash with emit at X = 2e4, as computed by the per-u enumeration
+#: that preceded block enumeration
+PINNED_HASH_2E4 = {
+    "conductor": "cc7bae1b90c4cf8fda3f5248a62c2612bf1a32f82a8c09ddcc0d3cc74ec0207f",
+    "discriminant": "c5aa82878157188f46e03a01217ba251506524e12e54df065a46dc654ae8df93",
+}
+
+
+def _hash_2e4(mode, shards=1):
+    cfg = CensusConfig(x=20000, mode=mode, shards=shards, emit=True)
+    tal = run_census(cfg)
+    return output_hash(summarize(cfg, tal), tal)
+
+
 def test_shard_invariance():
-    base = None
-    for shards in (1, 2, 3):
-        cfg = CensusConfig(x=20000, shards=shards, emit=True)
-        tal = run_census(cfg)
-        h = output_hash(summarize(cfg, tal), tal)
-        if base is None:
-            base = h
-        assert h == base
+    for mode, pinned in PINNED_HASH_2E4.items():
+        for shards in (1, 2, 3):
+            assert _hash_2e4(mode, shards) == pinned, (mode, shards)
+
+
+@pytest.mark.parametrize("size", [1, 10**9])
+def test_block_and_chunk_edges(monkeypatch, size):
+    # one outer value per block and one row per classification pass, or the
+    # whole family in one block and one pass: off-by-ones at edges show here
+    from quartic_census import census
+
+    monkeypatch.setattr(census, "BLOCK_XSCAN", size)
+    monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
+    for mode, pinned in PINNED_HASH_2E4.items():
+        assert _hash_2e4(mode) == pinned, mode
 
 
 def test_v4_dual_route():

@@ -114,6 +114,24 @@ def test_census_rejects_non_integer():
         main(["census", "conductor", "--x", "12.7"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shards", "0", "census", "conductor", "--x", "1000"],
+        ["census", "conductor", "--x", "1000", "--families", "4"],
+        ["census", "conductor", "--x", "250000001"],
+        ["census", "discriminant", "--x", "200000001"],
+    ],
+)
+def test_census_config_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_census_discriminant_v4(capsys):
     rc, out = run_cli(
         capsys, "census", "discriminant", "--x", "1000000", "--galois", "v4", "--families", "1"
