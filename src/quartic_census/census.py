@@ -36,6 +36,8 @@ from .maximality import vec_is_maximal_at
 #: int64 safety caps for the vectorized engines (explicit errors above).
 X_MAX_CONDUCTOR = 250_000_000
 X_MAX_DISC = 200_000_000
+#: count_v4_by_disc sieves up to sqrt(X): a 12.5 MB table at this cap.
+X_MAX_V4_COUNT = 10**16
 
 #: A block of family-2 or family-3 outer values u closes once its x-scan,
 #: 2*xmax+1 per value, reaches this size.  Blocks amortize the per-call
@@ -44,26 +46,12 @@ BLOCK_XSCAN = 1 << 15
 #: At most this many candidates go through one classification pass, which
 #: bounds the size of its temporaries.
 CHUNK_CANDIDATES = 1 << 13
+#: Records are formatted and hashed this many CSV rows at a time.
+CSV_CHUNK_ROWS = 1 << 14
 
-
-@dataclass(frozen=True)
-class CensusRecord:
-    coords: FamilyCoords
-    disc: int
-    conductor: int
-    galois: str
-    r2: int
-
-    def csv_row(self) -> str:
-        c = self.coords
-        return (
-            f"{c.family},{c.A},{c.B},{c.C},{self.disc},{self.conductor},"
-            f"{self.galois},{self.r2}"
-        )
-
-    def sort_key(self):
-        c = self.coords
-        return (abs(self.conductor), c.family, c.A, c.B, c.C)
+#: The columns of a record row, in CSV order; the Galois tag, the same for
+#: every record of a run, sits between conductor and r2 in the CSV.
+RECORD_COLUMNS = ("family", "A", "B", "C", "disc", "conductor", "r2")
 
 
 @dataclass
@@ -98,18 +86,29 @@ class CensusConfig:
 
 
 class Tallies:
-    """Order-independent aggregation of census results."""
+    """Order-independent aggregation of census results.
 
-    def __init__(self):
+    Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS;
+    `records` joins them into one array on first use."""
+
+    def __init__(self, galois: str):
         self.counts = np.zeros((4, 3), dtype=np.int64)  # [family][r2]
         self.excluded = {"c4": 0, "v4": 0, "reducible": 0, "boundary_orbits": 0}
-        self.records: list[CensusRecord] = []
+        self.galois = galois  # the tag of every record
+        self.blocks: list[np.ndarray] = []
+
+    @property
+    def records(self) -> np.ndarray:
+        if len(self.blocks) != 1:
+            empty = np.empty((0, len(RECORD_COLUMNS)), dtype=np.int64)
+            self.blocks = [np.concatenate(self.blocks) if self.blocks else empty]
+        return self.blocks[0]
 
     def merge(self, other: "Tallies") -> "Tallies":
         self.counts += other.counts
         for k in self.excluded:
             self.excluded[k] += other.excluded[k]
-        self.records.extend(other.records)
+        self.blocks.extend(other.blocks)
         return self
 
     def total(self, r2: int | None = None) -> int:
@@ -403,21 +402,17 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies, bounda
         tal.counts[fam][r2] += int((keep & (r2v == r2)).sum())
 
     if cfg.emit and keep.any():
-        tag = cfg.galois
-        for k in np.flatnonzero(keep):
-            a, b, c = int(A[k]), int(B[k]), int(C[k])
-            if boundary:
-                alt = (c, b, a) if fam == 1 else (a, -b, c)
-                a, b, c = min((a, b, c), alt)
-            tal.records.append(
-                CensusRecord(
-                    FamilyCoords(fam, a, b, c),
-                    int(disc[k]),
-                    int(conductor[k]),
-                    tag,
-                    int(r2v[k]),
-                )
-            )
+        k = np.flatnonzero(keep)
+        A, B, C = A[k], B[k], C[k]
+        if boundary:
+            # the smaller of the pair's coordinate triples: (C, B, A) for
+            # family 1, (A, -B, C) for family 2
+            if fam == 1:
+                A, C = np.minimum(A, C), np.maximum(A, C)
+            else:
+                B = -np.abs(B)
+        fams = np.full(len(k), fam, dtype=np.int64)
+        tal.blocks.append(np.stack([fams, A, B, C, disc[k], conductor[k], r2v[k]], axis=1))
 
 
 def _r2_vec(fam, A, B, C):
@@ -694,7 +689,7 @@ _FORK_CTX = None
 
 
 def _run_shard_fork(units):
-    tal = _run_shard(_FORK_CTX, units, Tallies())
+    tal = _run_shard(_FORK_CTX, units, Tallies(_FORK_CTX.config.galois))
     return tal.counts, tal.excluded, tal.records
 
 
@@ -702,7 +697,7 @@ def run_census(config: CensusConfig) -> Tallies:
     """Execute a census; deterministic for any shard count."""
     ctx = _Ctx(config)
     units = ctx.units()
-    tal = Tallies()
+    tal = Tallies(config.galois)
     if config.shards == 1:
         _run_shard(ctx, units, tal)
     else:
@@ -713,14 +708,19 @@ def run_census(config: CensusConfig) -> Tallies:
         chunks = [units[k :: config.shards] for k in range(config.shards)]
         with mp.get_context("fork").Pool(config.shards) as pool:
             for counts, excluded, records in pool.map(_run_shard_fork, chunks):
-                part = Tallies()
+                part = Tallies(config.galois)
                 part.counts = counts
                 part.excluded = excluded
-                part.records = records
+                part.blocks = [records]
                 tal.merge(part)
         _FORK_CTX = None
-    tal.records.sort(key=CensusRecord.sort_key)
+    tal.blocks = [_sorted_records(tal.records)]
     return tal
+
+
+def _sorted_records(rec: np.ndarray) -> np.ndarray:
+    """Rows in the output order: by |conductor|, family, A, B, C."""
+    return rec[np.lexsort((rec[:, 3], rec[:, 2], rec[:, 1], rec[:, 0], np.abs(rec[:, 5])))]
 
 
 def summarize(config: CensusConfig, tal: Tallies) -> dict:
@@ -779,6 +779,8 @@ def count_v4_by_disc(X: int) -> int:
     b = 0); negating both coordinates preserves maximality, negating b alone
     does not, so both b signs are tested.
     """
+    if X > X_MAX_V4_COUNT:
+        raise ValueError(f"X={X} exceeds the supported bound {X_MAX_V4_COUNT} for the V4 count")
     Y = isqrt(X - 1) if X > 1 else 0
     if Y < 12:
         return 0
@@ -921,18 +923,35 @@ def brute_force_class_oracle(height: int, cap: int | None = None) -> list[dict]:
 # output helpers
 
 
+def _csv_chunks(tal: Tallies):
+    """The records CSV in pieces: the header, then at most CSV_CHUNK_ROWS
+    rows per piece."""
+    yield "family,A,B,C,disc,conductor,galois,r2\n"
+    rec = tal.records
+    row = "%d,%d,%d,%d,%d,%d," + tal.galois + ",%d\n"
+    for lo in range(0, len(rec), CSV_CHUNK_ROWS):
+        chunk = rec[lo : lo + CSV_CHUNK_ROWS]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def records_csv(tal: Tallies) -> str:
-    lines = ["family,A,B,C,disc,conductor,galois,r2"]
-    lines.extend(r.csv_row() for r in tal.records)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(tal))
 
 
 def summary_json(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
-def output_hash(summary: dict, tal: Tallies | None = None) -> str:
+def output_hash(summary: dict, tal: Tallies | None = None, out=None) -> str:
+    """sha256 of the summary JSON, followed by the records CSV if there are
+    records.  With `out`, a text file, the CSV is written to it in the same
+    pass (header included when there are no records)."""
     h = hashlib.sha256(summary_json(summary).encode())
-    if tal is not None and tal.records:
-        h.update(records_csv(tal).encode())
+    if tal is not None:
+        hashed = len(tal.records) > 0
+        for chunk in _csv_chunks(tal):
+            if hashed:
+                h.update(chunk.encode())
+            if out is not None:
+                out.write(chunk)
     return h.hexdigest()

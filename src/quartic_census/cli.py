@@ -270,7 +270,6 @@ def cmd_census(args, globals_) -> dict:
     from .census import (
         CensusConfig,
         output_hash,
-        records_csv,
         run_census,
         summarize,
     )
@@ -292,10 +291,12 @@ def cmd_census(args, globals_) -> dict:
         raise SystemExit(2) from None
     tal = run_census(cfg)
     summary = summarize(cfg, tal)
-    summary["output_hash"] = output_hash(summary, tal if cfg.emit else None)
     if args.emit:
+        # the CSV is written and hashed in one pass
         with open(args.emit, "w") as fh:
-            fh.write(records_csv(tal))
+            summary["output_hash"] = output_hash(summary, tal, out=fh)
+    else:
+        summary["output_hash"] = output_hash(summary)
     return summary
 
 

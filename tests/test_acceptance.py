@@ -261,9 +261,9 @@ def test_criterion_8_pipeline_ground_truth():
     X0 = 60
     cfg = CensusConfig(x=X0, mode="conductor", galois="d4", emit=True)
     tal = run_census(cfg)
-    census_set = {(r.coords.family, r.coords.A, r.coords.B, r.coords.C) for r in tal.records}
-    for r in tal.records:
-        assert max(abs(v) for v in to_form(r.coords).coeffs()) <= 8
+    census_set = set(map(tuple, tal.records[:, :4].tolist()))
+    for row in census_set:
+        assert max(abs(v) for v in to_form(FamilyCoords(*row)).coeffs()) <= 8
     oracle_set = set()
     for c in classes:
         if c["tag"] == "d4" and c["maximal"] and 0 < abs(c["conductor"]) < X0:

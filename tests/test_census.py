@@ -5,7 +5,6 @@ import pytest
 
 from quartic_census.census import (
     CensusConfig,
-    CensusRecord,
     Tallies,
     brute_force_class_oracle,
     count_d4_by_conductor,
@@ -100,29 +99,30 @@ def test_engine_matches_slow_reference(mode, X):
     tal = run_census(cfg)
     assert [tal.total(k) for k in range(3)] == counts
     assert tal.excluded == excl
-    got = sorted((r.coords.family, r.coords.A, r.coords.B, r.coords.C) for r in tal.records)
+    got = sorted(map(tuple, tal.records[:, :4].tolist()))
     assert got == recs
 
 
 def test_record_audit():
     # every emitted record passes the scalar pipeline end to end
     s, tal = count_d4_by_conductor(3000, emit=True)
-    assert len(tal.records) > 100
-    for r in tal.records[:: max(1, len(tal.records) // 200)]:
-        c = r.coords
+    rows = tal.records.tolist()
+    assert len(rows) > 100
+    for fam, A, B, C, disc, conductor, r2 in rows[:: max(1, len(rows) // 200)]:
+        c = FamilyCoords(fam, A, B, C)
         F = to_form(c)
-        assert 0 < abs(r.conductor) < 3000
-        assert r.conductor == conductor_poly(c)
-        assert r.disc == disc_quartic(F)
+        assert 0 < abs(conductor) < 3000
+        assert conductor == conductor_poly(c)
+        assert disc == disc_quartic(F)
         assert is_maximal(c).is_maximal
         assert galois_tag(c) == GaloisTag.D4
         canon, _ = canonical_coords(c)
         assert canon == c
         from quartic_census.classify import family_real_signature
 
-        assert family_real_signature(c).r2 == r.r2
+        assert family_real_signature(c).r2 == r2
     # sorted per the documented ordering
-    keys = [r.sort_key() for r in tal.records]
+    keys = [(abs(cond), fam, A, B, C) for fam, A, B, C, _, cond, _ in rows]
     assert keys == sorted(keys)
 
 
@@ -142,9 +142,18 @@ PINNED_HASH_2E4 = {
 }
 
 
+#: output_hash with emit at conductor X = 1e5, 2 shards, as computed by the
+#: per-record emission that preceded column blocks
+PINNED_HASH_1E5 = "e8b082bccd3fd33361dcdfde87e4ac1b840ef77b596f39f32f76830da573697b"
+
+
+def _run_emit(x, mode, shards=1):
+    cfg = CensusConfig(x=x, mode=mode, shards=shards, emit=True)
+    return cfg, run_census(cfg)
+
+
 def _hash_2e4(mode, shards=1):
-    cfg = CensusConfig(x=20000, mode=mode, shards=shards, emit=True)
-    tal = run_census(cfg)
+    cfg, tal = _run_emit(20000, mode, shards)
     return output_hash(summarize(cfg, tal), tal)
 
 
@@ -152,6 +161,34 @@ def test_shard_invariance():
     for mode, pinned in PINNED_HASH_2E4.items():
         for shards in (1, 2, 3):
             assert _hash_2e4(mode, shards) == pinned, (mode, shards)
+    cfg, tal = _run_emit(10**5, "conductor", shards=2)
+    assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
+
+
+def test_records_agree_with_tallies():
+    for mode in ("conductor", "discriminant"):
+        for shards in (1, 2):
+            _, tal = _run_emit(20000, mode, shards)
+            rec = tal.records
+            assert len(rec) == tal.total() > 0
+            for fam in (1, 2, 3):
+                for r2 in (0, 1, 2):
+                    rows = (rec[:, 0] == fam) & (rec[:, 6] == r2)
+                    assert rows.sum() == tal.counts[fam][r2], (mode, shards, fam, r2)
+
+
+def test_boundary_records_canonical():
+    # the flagged boundary pairs are C = -A (family 1) and C = -4A (family 2);
+    # their records must be the canonical member of the pair
+    for mode in ("conductor", "discriminant"):
+        _, tal = _run_emit(20000, mode)
+        fam, A, C = tal.records[:, 0], tal.records[:, 1], tal.records[:, 3]
+        pair = ((fam == 1) & (C == -A)) | ((fam == 2) & (C == -4 * A))
+        rows = tal.records[pair, :4].tolist()
+        assert len(rows) == tal.excluded["boundary_orbits"] > 0, mode
+        for row in rows:
+            c = FamilyCoords(*row)
+            assert canonical_coords(c) == (c, True), row
 
 
 @pytest.mark.parametrize("size", [1, 10**9])
@@ -181,6 +218,16 @@ def test_v4_examples():
     assert count_v4_by_disc(257) == 4
     # hand-checkable box: no values below 12 at all
     assert count_v4_by_disc(100) == 0
+
+
+def test_v4_count_cap():
+    # above the cap the count refuses before allocating its sqrt(X) sieve
+    from quartic_census.census import X_MAX_V4_COUNT
+
+    with pytest.raises(ValueError):
+        count_v4_by_disc(X_MAX_V4_COUNT + 1)
+    with pytest.raises(ValueError):
+        count_v4_by_disc(10**40)
 
 
 def test_d4_disc_growth():
@@ -224,9 +271,7 @@ def test_census_agrees_with_class_oracle():
     classes = brute_force_class_oracle(13)
     X0 = 150
     s, tal = count_d4_by_conductor(X0, emit=True)
-    census_set = {
-        (r.coords.family, r.coords.A, r.coords.B, r.coords.C) for r in tal.records
-    }
+    census_set = set(map(tuple, tal.records[:, :4].tolist()))
     oracle_set = set()
     for c in classes:
         if c["tag"] != "d4" or not c["maximal"]:
@@ -268,6 +313,12 @@ def test_csv_and_summary_output():
     lines = csv.strip().split("\n")
     assert lines[0] == "family,A,B,C,disc,conductor,galois,r2"
     assert len(lines) == len(tal.records) + 1
+    assert all(line.split(",")[6] == "d4" for line in lines[1:])
+    # the run's Galois tag is stored once and written on every row
+    talv = run_census(CensusConfig(x=10**4, mode="discriminant", galois="v4", families=(1,), emit=True))
+    rows = records_csv(talv).strip().split("\n")[1:]
+    assert len(rows) == talv.total() > 0
+    assert all(row.split(",")[6] == "v4" for row in rows)
     s = summarize(cfg, tal)
     assert set(s["counts"]) == {"r2_0", "r2_1", "r2_2"}
     assert s["ratio"] == s["total"] / s["main_term"]

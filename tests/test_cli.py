@@ -99,6 +99,23 @@ def test_census_cli(capsys, tmp_path):
     assert man["versions"]["quartic_census"]
 
 
+@pytest.mark.parametrize("x", ["1", "20000"])
+def test_census_emit_matches_library(capsys, tmp_path, x):
+    # the CLI writes and hashes the CSV in one pass; the file and the hash
+    # must equal what the library gives for the same config (X = 1 has no
+    # records: the file is the header alone, which the hash leaves out)
+    from quartic_census.census import CensusConfig, output_hash, records_csv, run_census, summarize
+
+    emit = tmp_path / "records.csv"
+    rc, out = run_cli(capsys, "--shards", "2", "census", "conductor", "--x", x, "--emit", str(emit))
+    assert rc == 0
+    cfg = CensusConfig(x=int(x), shards=2, emit=True)
+    tal = run_census(cfg)
+    summary = summarize(cfg, tal)
+    assert emit.read_bytes() == records_csv(tal).encode()
+    assert json.loads(out)["output_hash"] == output_hash(summary, tal)
+
+
 def test_census_shard_hash_identical(capsys):
     outs = []
     for k in ("1", "4"):
