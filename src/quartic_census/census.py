@@ -100,8 +100,15 @@ class Tallies:
     @property
     def records(self) -> np.ndarray:
         if len(self.blocks) != 1:
-            empty = np.empty((0, len(RECORD_COLUMNS)), dtype=np.int64)
-            self.blocks = [np.concatenate(self.blocks) if self.blocks else empty]
+            # each block is freed once it is copied, so the blocks and the
+            # joined table are not held in full at the same time
+            n = sum(len(b) for b in self.blocks)
+            rec = np.empty((n, len(RECORD_COLUMNS)), dtype=np.int64)
+            while self.blocks:
+                block = self.blocks.pop()
+                rec[n - len(block) : n] = block
+                n -= len(block)
+            self.blocks = [rec]
         return self.blocks[0]
 
     def merge(self, other: "Tallies") -> "Tallies":
@@ -701,26 +708,37 @@ def run_census(config: CensusConfig) -> Tallies:
     if config.shards == 1:
         _run_shard(ctx, units, tal)
     else:
-        import multiprocessing as mp
-
-        global _FORK_CTX
-        _FORK_CTX = ctx
-        chunks = [units[k :: config.shards] for k in range(config.shards)]
-        with mp.get_context("fork").Pool(config.shards) as pool:
-            for counts, excluded, records in pool.map(_run_shard_fork, chunks):
-                part = Tallies(config.galois)
-                part.counts = counts
-                part.excluded = excluded
-                part.blocks = [records]
-                tal.merge(part)
-        _FORK_CTX = None
-    tal.blocks = [_sorted_records(tal.records)]
+        _run_forked(ctx, units, tal)
+    _sort_records(tal.records)
     return tal
 
 
-def _sorted_records(rec: np.ndarray) -> np.ndarray:
-    """Rows in the output order: by |conductor|, family, A, B, C."""
-    return rec[np.lexsort((rec[:, 3], rec[:, 2], rec[:, 1], rec[:, 0], np.abs(rec[:, 5])))]
+def _run_forked(ctx: _Ctx, units, tal: Tallies) -> None:
+    """Run units on config.shards forked processes, by stride, into tal.  The
+    shard results are dropped on return, so tal holds the only reference to
+    each shard's table."""
+    import multiprocessing as mp
+
+    global _FORK_CTX
+    _FORK_CTX = ctx
+    shards = ctx.config.shards
+    chunks = [units[k::shards] for k in range(shards)]
+    with mp.get_context("fork").Pool(shards) as pool:
+        for counts, excluded, records in pool.map(_run_shard_fork, chunks):
+            part = Tallies(ctx.config.galois)
+            part.counts = counts
+            part.excluded = excluded
+            part.blocks = [records]
+            tal.merge(part)
+    _FORK_CTX = None
+
+
+def _sort_records(rec: np.ndarray) -> None:
+    """Put the rows of rec in the output order, by |conductor|, family, A, B,
+    C, in place one column at a time, so no second table is built."""
+    order = np.lexsort((rec[:, 3], rec[:, 2], rec[:, 1], rec[:, 0], np.abs(rec[:, 5])))
+    for c in range(rec.shape[1]):
+        rec[:, c] = rec[order, c]
 
 
 def summarize(config: CensusConfig, tal: Tallies) -> dict:

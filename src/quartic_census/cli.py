@@ -180,6 +180,7 @@ def cmd_maximal(args, globals_) -> dict:
 
 def validate_box(box: int, pmax: int, flip_clause: bool = False) -> dict:
     """Theorem-vs-oracle agreement matrix over |A|,|B|,|C| <= box, p <= pmax.
+    It passes when it made at least one comparison and found no mismatch.
 
     flip_clause deliberately inverts one family-1 clause as a self-test; the
     mismatch counter must then be positive.
@@ -217,11 +218,19 @@ def validate_box(box: int, pmax: int, flip_clause: bool = False) -> dict:
         "checked": checked,
         "mismatches": mismatches,
         "per_family_prime": matrix,
-        "pass": mismatches == 0,
+        "pass": checked > 0 and mismatches == 0,
     }
 
 
 def cmd_validate(args, globals_) -> dict:
+    # an empty box or prime list would check nothing: a usage error, one
+    # line and exit code 2
+    if args.box < 1 or args.pmax < 2:
+        print(
+            f"error: need --box >= 1 and --pmax >= 2, got {args.box} and {args.pmax}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     return validate_box(args.box, args.pmax, args.flip_clause)
 
 
@@ -401,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--prime-limit", type=parse_exact_int, default=10**6)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_constants)
     return ap
 

@@ -3,11 +3,32 @@ a quartic form and decide p-maximality by the radical / multiplier-ring test.
 
 Nothing here knows about the family congruence criteria; agreement between the
 two is a theorem, not a construction.
+
+The test, for the order O with basis e0 = 1, e1, e2, e3 and a prime p:
+
+1. The nilradical of O/pO is the kernel of the F_p-linear map x -> x^(p^e)
+   with p^e >= 4 (a nilpotent element of a rank-4 algebra has x^4 = 0).  Its
+   lift R = pO + rad is the p-radical of O, and O is p-maximal exactly when
+   the multiplier ring {x : xR inside R} is O itself.
+2. If the nilradical is zero, R = pO.  Then xR inside R means x*pO inside pO,
+   i.e. x in O (as 1 is in O), so the multiplier ring is O and the answer is
+   True without building R.
+3. Otherwise R has the basis B whose row c is the echelon row of rad mod p
+   with pivot c, or p*e_c where rad has no pivot.  B is upper triangular with
+   diagonal 1 or p, and it spans R: it lies in R and has the same index
+   p^(4 - dim rad).
+4. Y = p*B^-1 is integral because pO lies in R, so the coordinates of w in B
+   are (w*Y)/p.  Every division here is checked exact, which checks that R is
+   an O-module.
+5. x = y/p with y in O multiplies R into R iff y*B_j lies in pR for each j:
+   a linear condition on y mod p, given by the 16x4 matrix of the
+   coordinates of e_i*B_j mod p.  Its kernel is zero, i.e. it has rank 4,
+   exactly when the multiplier ring is O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .forms import BinQuartForm
 
@@ -18,8 +39,22 @@ class QuarticOrderTable:
     1 <= i <= j <= 3 gives z_i*z_j = c0 + c1*z1 + c2*z2 + c3*z3."""
 
     products: tuple[tuple[int, int, int, int], ...]  # keyed (1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
+    # the regular representation: regular[4*i + j] = e_i*e_j for i, j in 0..3,
+    # with e_0 = 1 and e_k = z_k; built once from `products`
+    regular: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     _KEYS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+    def __post_init__(self):
+        unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        # built as a list first: tuple() of a generator grows by resizing,
+        # and the freed 16-tuples then pile up in CPython's tuple free list
+        regular = [
+            unit[i + j] if i == 0 or j == 0 else self.product(i, j)
+            for i in range(4)
+            for j in range(4)
+        ]
+        object.__setattr__(self, "regular", tuple(regular))
 
     def product(self, i: int, j: int) -> tuple[int, int, int, int]:
         if i > j:
@@ -34,6 +69,7 @@ class QuarticOrderTable:
             u[0] * v[2] + u[2] * v[0],
             u[0] * v[3] + u[3] * v[0],
         ]
+        reg = self.regular
         for i in (1, 2, 3):
             ui = u[i]
             if ui == 0:
@@ -43,7 +79,7 @@ class QuarticOrderTable:
                 if vj == 0:
                     continue
                 m = ui * vj
-                c = self.product(i, j)
+                c = reg[4 * i + j]
                 out[0] += m * c[0]
                 out[1] += m * c[1]
                 out[2] += m * c[2]
@@ -129,30 +165,15 @@ def order_from_form(F: BinQuartForm) -> QuarticOrderTable:
 
 def order_disc(o: QuarticOrderTable) -> int:
     """Determinant of the 4x4 trace-pairing matrix of the order."""
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    reg = o.regular
     # traces of basis elements from the regular representation
-    tr = [4, 0, 0, 0]
-    for k in (1, 2, 3):
-        tr[k] = sum(_basis_product(o, k, j)[j] for j in range(4))
+    tr = [sum(reg[4 * k + j][j] for j in range(4)) for k in range(4)]
     G = [[0] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i, 4):
-            col = _basis_product(o, i, j)
-            v = sum(col[k] * tr[k] for k in range(4))
-            G[i][j] = G[j][i] = v
+            col = reg[4 * i + j]
+            G[i][j] = G[j][i] = sum(col[k] * tr[k] for k in range(4))
     return _det4(G)
-
-
-def _basis_product(o: QuarticOrderTable, i: int, j: int):
-    if i == 0:
-        col = [0, 0, 0, 0]
-        col[j] = 1
-        return col
-    if j == 0:
-        col = [0, 0, 0, 0]
-        col[i] = 1
-        return col
-    return list(o.product(i, j))
 
 
 def _det4(M) -> int:
@@ -179,29 +200,43 @@ def _perm_sign(p) -> int:
     return s
 
 
-def _rref_kernel(rows, p, ncols):
-    """Kernel basis of a matrix over F_p (rows of length ncols)."""
+def _rref(rows, p, ncols):
+    """Reduced row echelon form over F_p: (reduced rows, pivot columns); the
+    first len(pivots) rows are the nonzero ones, row r with pivot pivots[r]."""
     M = [[x % p for x in row] for row in rows]
+    n = len(M)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
+        if r == n:
+            break
+        for pr in range(r, n):
+            if M[pr][c]:
+                break
+        else:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = pow(M[r][c], p - 2, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        piv = M[pr]
+        M[pr] = M[r]
+        if piv[c] != 1:
+            inv = pow(piv[c], p - 2, p)
+            piv = [(x * inv) % p for x in piv]
+        M[r] = piv
+        for i in range(n):
+            f = M[i][c]
+            if f and i != r:
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], piv)]
         pivots.append(c)
         r += 1
-        if r == len(M):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return M, pivots
+
+
+def _rref_kernel(rows, p, ncols):
+    """Kernel basis of a matrix over F_p (rows of length ncols)."""
+    M, pivots = _rref(rows, p, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [0] * ncols
         v[fc] = 1
         for ri, pc in enumerate(pivots):
@@ -215,27 +250,28 @@ def _p_radical(o: QuarticOrderTable, p: int):
     e = 1
     while p**e < 4:
         e += 1
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    frob_cols = []
-    for b in basis:
-        w = _pow_mod(o, b, p, p)
-        frob_cols.append(w)
-    M = [[frob_cols[j][i] % p for j in range(4)] for i in range(4)]
+    # Frobenius is F_p-linear, so its matrix has columns e_j^p (and 1^p = 1)
+    frob_cols = [(1, 0, 0, 0)] + [
+        _pow_mod(o, b, p, p) for b in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    ]
+    M = [[frob_cols[j][i] for j in range(4)] for i in range(4)]
     R = M
     for _ in range(e - 1):
-        R = [[sum(M[i][k] * R[k][j] for k in range(4)) % p for j in range(4)] for i in range(4)]
+        R = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*R)] for row in M]
     return _rref_kernel(R, p, 4)
 
 
 def _pow_mod(o: QuarticOrderTable, v, n: int, p: int):
-    r = [1, 0, 0, 0]
+    """v^n mod p, for n >= 1."""
     b = [x % p for x in v]
-    while n:
+    r = None
+    while True:
         if n & 1:
-            r = [x % p for x in o.mult(r, b)]
-        b = [x % p for x in o.mult(b, b)]
+            r = b if r is None else [x % p for x in o.mult(r, b)]
         n >>= 1
-    return r
+        if not n:
+            return r
+        b = [x % p for x in o.mult(b, b)]
 
 
 def _hnf_rows(gens):
@@ -267,39 +303,65 @@ def _hnf_rows(gens):
     return M[:4]
 
 
+def _radical_basis(rad, p):
+    """Rows of R = pO + (lift of rad), upper triangular with diagonal 1 or p:
+    the echelon row of rad mod p at each of its pivot columns, p*e_c at the
+    other columns c."""
+    B = [[p if i == j else 0 for j in range(4)] for i in range(4)]
+    if rad:
+        E, pivots = _rref(rad, p, 4)
+        for r, c in enumerate(pivots):
+            B[c] = E[r]
+    return B
+
+
+def _multiplier_rows(o: QuarticOrderTable, p: int, rad):
+    """The 16x4 matrix over F_p whose kernel is {y in O/pO : y*R inside pR}
+    for R = pO + (lift of rad): rows[4*j + k][i] is coordinate k of e_i*B_j
+    in the basis B of R, mod p."""
+    B = _radical_basis(rad, p)
+    # Y = p*B^-1, row i solving y*B = p*e_i; integral because pO is inside R
+    Y = []
+    for i in range(4):
+        w = [p if k == i else 0 for k in range(4)]
+        y = [0] * 4
+        for c in range(4):
+            q, rem = divmod(w[c], B[c][c])
+            assert rem == 0
+            y[c] = q
+            if q:
+                for k in range(c + 1, 4):
+                    w[k] -= q * B[c][k]
+        Y.append(y)
+    Y0, Y1, Y2, Y3 = zip(*Y)  # the columns of Y
+    reg = o.regular
+    rows = [[0] * 4 for _ in range(16)]
+    for j in range(4):
+        rows[5 * j][0] = 1  # 1*B_j = B_j has coordinates e_j
+    for i in (1, 2, 3):
+        L0, L1, L2, L3 = reg[4 * i : 4 * i + 4]  # e_i*e_m for m in 0..3
+        for j, (b0, b1, b2, b3) in enumerate(B):
+            # w = e_i*B_j; its coordinates (w*Y)/p are exact because R is an
+            # O-module
+            w = [b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 for x0, x1, x2, x3 in zip(L0, L1, L2, L3)]
+            for k, Yk in enumerate((Y0, Y1, Y2, Y3)):
+                q, rem = divmod(w[0] * Yk[0] + w[1] * Yk[1] + w[2] * Yk[2] + w[3] * Yk[3], p)
+                assert rem == 0
+                rows[4 * j + k][i] = q % p
+    return rows
+
+
 def p_maximality_oracle(o: QuarticOrderTable, p: int) -> bool:
     """True iff Z_p tensor O is a maximal quartic ring over Z_p.
 
     Computes the p-radical ideal R (lift of the nilradical of O/pO plus pO)
     and tests whether the multiplier ring {x : x*R inside R} exceeds O; the
-    order is p-maximal exactly when it does not.
+    order is p-maximal exactly when it does not.  A zero nilradical gives
+    R = pO, whose multiplier ring is O.
     """
     rad = _p_radical(o, p)
-    gens = [[p if i == j else 0 for j in range(4)] for i in range(4)]
-    gens.extend(rad)
-    B = _hnf_rows(gens)
-
-    def coords(w):
-        # solve z*B = w over Z (B upper triangular); exactness guaranteed
-        # because R is an O-module
-        w = list(w)
-        z = [0] * 4
-        for c in range(4):
-            q, rem = divmod(w[c], B[c][c])
-            assert rem == 0
-            z[c] = q
-            for k in range(4):
-                w[k] -= q * B[c][k]
-        assert all(x == 0 for x in w)
-        return z
-
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    rows = [[0] * 4 for _ in range(16)]
-    for i in range(4):
-        for j in range(4):
-            z = coords(o.mult(basis[i], B[j]))
-            for k in range(4):
-                rows[4 * j + k][i] = z[k] % p
-    # x = y/p multiplies R into R iff y*R is inside p*R; kernel beyond pO
+    if not rad:
+        return True
+    # x = y/p multiplies R into R iff y*R is inside p*R; a kernel beyond pO
     # means a strictly larger multiplier ring, i.e. non-maximality
-    return len(_rref_kernel(rows, p, 4)) == 0
+    return len(_rref(_multiplier_rows(o, p, rad), p, 4)[1]) == 4

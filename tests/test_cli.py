@@ -60,7 +60,18 @@ def test_validate_and_bug_injection(capsys):
     rc, out = run_cli(capsys, "validate", "--box", "3", "--pmax", "3", "--flip-clause")
     rep = json.loads(out)
     assert rep["mismatches"] > 0
-    assert validate_box(0, 3)["checked"] == 0
+    rep = validate_box(0, 3)
+    assert rep["checked"] == 0 and rep["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [["--pmax", "1"], ["--box", "-2"], ["--box", "0"]])
+def test_validate_rejects_empty_box(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_densities_csv(capsys, tmp_path):

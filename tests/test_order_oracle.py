@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ from quartic_census.forms import BinQuartForm, FamilyCoords, disc_quartic, to_fo
 from quartic_census.order_oracle import (
     QuarticOrderTable,
     _hnf_rows,
+    _multiplier_rows,
     _p_radical,
+    _radical_basis,
+    _rref_kernel,
     order_disc,
     order_from_form,
     p_maximality_oracle,
@@ -16,9 +20,9 @@ from quartic_census.order_oracle import (
 rng = random.Random(1234)
 
 
-def rand_form(bound=8):
+def rand_form(bound=8, r=rng):
     while True:
-        co = [rng.randint(-bound, bound) for _ in range(5)]
+        co = [r.randint(-bound, bound) for _ in range(5)]
         if co[0] != 0:
             return BinQuartForm(*co)
 
@@ -86,6 +90,58 @@ def test_oracle_examples():
         for p in (2, 3, 5, 7, 11):
             if d % p:
                 assert p_maximality_oracle(t, p), (F, p)
+
+
+def test_oracle_verdict_digest():
+    # one sha256 over the verdict bits of every (family, A, B, C, p) with
+    # |A|, |B|, |C| <= 5 and p <= 13, zero discriminants skipped; pinned from
+    # the multiplier-ring oracle as it stood before the zero-radical shortcut,
+    # the direct radical basis and the rank test, and independent of the
+    # family criteria
+    bits = bytearray()
+    for fam in (1, 2, 3):
+        for A in range(-5, 6):
+            if A == 0:
+                continue
+            for B in range(-5, 6):
+                for C in range(-5, 6):
+                    F = to_form(FamilyCoords(fam, A, B, C))
+                    if disc_quartic(F) == 0:
+                        continue
+                    t = order_from_form(F)
+                    for p in (2, 3, 5, 7, 11, 13):
+                        bits += b"1" if p_maximality_oracle(t, p) else b"0"
+    assert len(bits) == 20472 and bits.count(b"0") == 2216
+    digest = hashlib.sha256(bytes(bits)).hexdigest()
+    assert digest == "f837cae30c3bd076f90ca4d13dd3f54a9ff0f5696b0e47aaeb08fbf82657409d"
+
+
+def test_radical_ideal_basis():
+    # a zero nilradical means R = pO, whose multiplier rows always have rank 4,
+    # so the oracle may answer True at once; p not dividing disc gives a zero
+    # nilradical; otherwise the direct basis of R = pO + rad spans the same
+    # lattice as the HNF of its generators
+    # (its own generator, so the forms the other tests draw stay the same)
+    r = random.Random(5)
+    zero = nonzero = 0
+    for _ in range(150):
+        F = rand_form(r=r)
+        d = disc_quartic(F)
+        if d == 0:
+            continue
+        t = order_from_form(F)
+        for p in (2, 3, 5, 7):
+            rad = _p_radical(t, p)
+            if d % p:
+                assert rad == [], (F, p)
+            if not rad:
+                zero += 1
+                assert _rref_kernel(_multiplier_rows(t, p, []), p, 4) == [], (F, p)
+                continue
+            nonzero += 1
+            gens = [[p if i == j else 0 for j in range(4)] for i in range(4)] + rad
+            assert _hnf_rows(_radical_basis(rad, p)) == _hnf_rows(gens), (F, p)
+    assert zero > 0 and nonzero > 0
 
 
 def test_multiplier_ring_is_a_ring():
