@@ -4,19 +4,27 @@ class oracle for tiny bounds.
 
 Enumeration strategy per family: substitute (u, v, x) with y built from
 (u, v), so the bound becomes |y(x^2-y)| <= M (conductor) or |y(x^2-y)^2| <= M
-(discriminant).  The outer loop runs over the small cofactor (A or u), the
-middle dimension is a numpy x-array, and the inner cofactor ranges come from
-exact integer window endpoints computed once per |x|.
+(discriminant).  The outer loop runs over the small cofactor (A or u).  The
+other two coordinates are enumerated from one of two sides:
+
+* the x side: a numpy x-array, with the cofactor ranges read from exact
+  integer window endpoints computed once per |x| (family 1, and family 2 at
+  small u, where the band of x around each y is wide);
+* the v side: (u, v) pairs, with the x of each pair solved from the exact
+  band |x^2 - y| <= s, s = M // |y| or isqrt(M // |y|) (family 3, and
+  family 2 at the u where its v pairs cost less than its x-scan; see
+  X_PAIR_COST).
 
 Family 1 runs one A at a time.  Families 2 and 3 run in blocks of
-consecutive u (see BLOCK_XSCAN): a block builds flat (u, x) pair arrays
-once, turns each window piece into rows of stepped v-ranges, and expands
-the rows into candidates that are classified in chunks of at most
-CHUNK_CANDIDATES, so a block's memory stays bounded whatever its size.
+consecutive u that close once their scan reaches BLOCK_XSCAN; a block turns
+its pairs into rows of stepped ranges (of v on the x side, of x on the v
+side), and the rows are expanded into candidates that are classified in
+chunks of at most CHUNK_CANDIDATES, so a block's memory stays bounded
+whatever its size.
 
 Shards partition the outer values by stride; every aggregate is a
-commutative sum, so neither the shard count nor the block and chunk sizes
-can change any output.
+commutative sum, so neither the shard count, the block and chunk sizes nor
+the side chosen for a u can change any output.
 """
 
 from __future__ import annotations
@@ -39,10 +47,19 @@ X_MAX_DISC = 200_000_000
 #: count_v4_by_disc sieves up to sqrt(X): a 12.5 MB table at this cap.
 X_MAX_V4_COUNT = 10**16
 
-#: A block of family-2 or family-3 outer values u closes once its x-scan,
-#: 2*xmax+1 per value, reaches this size.  Blocks amortize the per-call
-#: numpy overhead; larger ones gain little time and raise the peak RSS.
+#: A block of family-2 or family-3 outer values u closes once its scan,
+#: 2*xmax+1 per value on the x side and its (u, v) pairs on the v side,
+#: reaches this size; the v side also expands at most this many pairs at a
+#: time.  Blocks amortize the per-call numpy overhead; larger ones gain
+#: little time and raise the peak RSS.
 BLOCK_XSCAN = 1 << 15
+#: A family-2 outer value u is enumerated from the v side when its (u, v)
+#: pairs number at most this many times its pruned x-range: an x-side
+#: (u, x) pair goes through four window pieces and both signs of u, a v-side
+#: pair through one square root.  Family-2 enumeration time is flat within
+#: noise from 2 to 4 and grows outside it, by conductor and by discriminant
+#: at X = 6e5 and 1e7 (2-vCPU Xeon VM); 3 was fastest or tied.
+X_PAIR_COST = 3
 #: At most this many candidates go through one classification pass, which
 #: bounds the size of its temporaries.
 CHUNK_CANDIDATES = 1 << 13
@@ -325,13 +342,15 @@ class _Ctx:
         else:
             self.square = True
             self.bounds = {1: (X - 1) // 4, 2: 16 * X - 1, 3: 16 * X - 1}
-        self.windows = {i: _Windows(self.bounds[i], self.square) for i in config.families}
+        # family 3 solves x per (u, v) and reads no table; families 1 and 2
+        # never share a bound, so no table is built twice
+        self.windows = {i: _Windows(self.bounds[i], self.square) for i in config.families if i != 3}
         # families 2 and 3 have x^2 - y = 4(B^2-4AC), so admissible y satisfy
         # |x^2-y| >= 4 and |y| <= bound/4^e; family 1 has no such gain
         div = 4 if config.mode == "conductor" else 16
         self.y_eff = {
-            i: w.max_abs_y if i == 1 else min(w.max_abs_y, self.bounds[i] // div)
-            for i, w in self.windows.items()
+            i: self.windows[1].max_abs_y if i == 1 else self.bounds[i] // div
+            for i in config.families
         }
         lim = max(max(self.y_eff.values()), 16)
         # one packed table serves cofactors and quadratic-cover discriminants
@@ -525,31 +544,51 @@ def _family1_unit(ctx: _Ctx, A: int, tal: Tallies):
             _classify_and_tally(ctx, 1, Av, xi, -Av, y, wq, tal, boundary=True)
 
 
+def _pruned_ranges(w: _Windows, outer_sq: int) -> list[tuple[int, int]]:
+    """Ranges [lo, hi] of |x| whose window can reach |y| >= outer_sq
+    (conservative)."""
+    if outer_sq > 1:
+        small = isqrt(4 * w.bound // outer_sq + 4) + 2
+        big_lo = max(isqrt(max(outer_sq - 4 * (w.bound // outer_sq) - 8, 0)) - 2, 0)
+        if small + 1 < big_lo:
+            return [(0, min(small, w.xmax)), (min(big_lo, w.xmax + 1), w.xmax)]
+    return [(0, w.xmax)]
+
+
 def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
     """Signed x values whose window can reach |y| >= outer_sq (conservative),
     optionally restricted to x = parity mod 2."""
-    if outer_sq <= 1:
-        xs = np.arange(-w.xmax, w.xmax + 1, dtype=np.int64)
-    else:
-        small = isqrt(4 * w.bound // outer_sq + 4) + 2
-        big_lo = isqrt(max(outer_sq - 4 * (w.bound // outer_sq) - 8, 0))
-        big_lo = max(big_lo - 2, 0)
-        if small + 1 >= big_lo:
-            a = np.arange(0, w.xmax + 1, dtype=np.int64)
-        else:
-            a = np.concatenate(
-                [
-                    np.arange(0, min(small, w.xmax) + 1, dtype=np.int64),
-                    np.arange(min(big_lo, w.xmax + 1), w.xmax + 1, dtype=np.int64),
-                ]
-            )
-        xs = np.concatenate([-a[a > 0][::-1], a])
+    a = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in _pruned_ranges(w, outer_sq)])
+    xs = np.concatenate([-a[a > 0][::-1], a])
     if parity is not None:
         xs = xs[(xs & 1) == parity]
     return xs
 
 
 def _family2_unit(ctx: _Ctx, us: list[int], tal: Tallies):
+    """One block of family-2 outer values, each from the side that
+    _family2_vside picks for it."""
+    vside = _family2_vside(ctx, us)
+    xs_us = [u for u, v in zip(us, vside) if not v]
+    if xs_us:
+        _family2_xside(ctx, xs_us, tal)
+    if vside.any():
+        u = np.asarray(us, dtype=np.int64)[vside]
+        _emit_vside(ctx, 2, _family2_vrows(ctx, u), tal)
+        # v = -u (u even) is the flagged boundary pair
+        _emit_vside(ctx, 2, [(u, -u, (u & 1) == 0, 0)], tal, boundary=True)
+
+
+def _family2_vside(ctx: _Ctx, us) -> np.ndarray:
+    """Which family-2 outer values u enumerate from the v side: those whose
+    v pairs number at most X_PAIR_COST times the length of their pruned
+    x-range (one parity of signed x)."""
+    w = ctx.windows[2]
+    xlen = [sum(hi - lo + 1 for lo, hi in _pruned_ranges(w, u * u)) for u in us]
+    return _v_pairs(ctx, 2, np.asarray(us, dtype=np.int64)) <= X_PAIR_COST * np.asarray(xlen)
+
+
+def _family2_xside(ctx: _Ctx, us: list[int], tal: Tallies):
     w = ctx.windows[2]
     xs_of = [_pruned_xs(w, u * u, parity=u & 1) for u in us]
     u = np.repeat(np.asarray(us, dtype=np.int64), [len(xs) for xs in xs_of])
@@ -582,6 +621,21 @@ def _family2_rows(w: _Windows, u, xs):
         yield _rows(u_v, xs, u_v, tie & ((u_v + xs) % 8 == 0), 0)
 
 
+def _family2_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
+    """v-side rows (u_v, first v, count, step) at outer values u, v = u
+    mod 4: for each sign of u, v of the same sign from v = u (the B = 0 tie)
+    while uv <= y_eff, then v of the other sign from |v| > u while -uv stays
+    within the negative window piece, whose widest reach is at x = 0."""
+    Y = ctx.y_eff[2]
+    N = min(Y, int(ctx.windows[2].neg_hi[0]))
+    first = u + 1 + ((-2 * u - 1) & 3)  # the least |v| > u with v = -u mod 4
+    rows = []
+    for su in (1, -1):
+        rows.append((su * u, su * u, (Y // u - u) // 4 + 1, 4 * su))
+        rows.append((su * u, -su * first, (N // u - first) // 4 + 1, -4 * su))
+    return rows
+
+
 def _emit_family2(ctx, u_v, v_v, xi, tal, boundary=False):
     y = u_v * v_v
     A = (u_v + v_v + 2 * xi) >> 4
@@ -592,38 +646,16 @@ def _emit_family2(ctx, u_v, v_v, xi, tal, boundary=False):
 
 
 def _family3_unit(ctx: _Ctx, us: list[int], tal: Tallies):
-    _emit_rows(ctx, _emit_family3, _family3_rows(ctx.windows[3], us), tal)
+    _emit_vside(ctx, 3, _family3_vrows(ctx, np.asarray(us, dtype=np.int64)), tal)
 
 
-def _family3_rows(w: _Windows, us: list[int]):
-    """Row batches of the (signed u, x) pairs, x = -u mod 8: each positive
-    window piece, then the v = 0 singletons."""
-    groups = []
-    for u in us:
-        xs = _pruned_xs(w, u * u)
-        r = xs & 7
-        groups.extend((u_v, xs[r == (-u_v & 7)]) for u_v in ((u, -u) if u else (0,)))
-    sizes = [len(xs) for _, xs in groups]
-    gid = np.repeat(np.arange(len(groups)), sizes)
-    u_v = np.repeat(np.array([u_v for u_v, _ in groups], dtype=np.int64), sizes)
-    xs = np.concatenate([xs for _, xs in groups])
-    u2 = u_v * u_v
-    ax = np.abs(xs)
-    for k in range(3):
-        lo_a, hi_a = w.pos_lo[k, ax], w.pos_hi[k, ax]
-        t_lo = np.maximum(lo_a - u2, 4)
-        t_hi = hi_a - u2
-        valid = t_hi >= t_lo
-        # square roots only for the signed u whose piece is nonempty somewhere
-        scan = np.bincount(gid[valid], minlength=len(groups))[gid] > 0
-        t_lo, t_hi, valid = t_lo[scan], t_hi[scan], valid[scan]
-        vlo = vec_isqrt(np.maximum(t_lo - 1, 0)) + 1  # ceil sqrt
-        vhi = vec_isqrt(np.maximum(t_hi, 0))
-        vlo = vlo + (vlo & 1)  # v = 2B is even and positive
-        vlo = np.maximum(vlo, 2)
-        count = np.where(valid, (vhi - vlo) // 2 + 1, 0)
-        yield _rows(u_v[scan], xs[scan], vlo, count, 2)
-    yield _rows(u_v, xs, 0, (u2 > 0) & w.contains_mask(ax, u2), 0)
+def _family3_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
+    """v-side rows (u_v, first v, count, step) at outer values u >= 0: both
+    signs of u (u = 0 once) and v = 0, 2, 4, ... with u^2 + v^2 <= y_eff;
+    v = 0 is the singleton row, and y = 0 is left out."""
+    n = vec_isqrt(ctx.y_eff[3] - u * u) // 2 + 1
+    z = (u == 0).astype(np.int64)
+    return [(u, 2 * z, n - z, 2), (-u, 0, n * (1 - z), 2)]
 
 
 def _emit_family3(ctx, u_v, v, xi, tal, boundary=False):
@@ -635,11 +667,91 @@ def _emit_family3(ctx, u_v, v, xi, tal, boundary=False):
     _classify_and_tally(ctx, 3, A, B, C, y, wq, tal, boundary=boundary)
 
 
-def _rows(u_v, xs, start, count, step):
-    """The nonempty rows of stepped v-ranges, one per (u_v, x) pair: count
-    values start + step*j.  Arguments broadcast against each other."""
-    cols = np.broadcast_arrays(u_v, xs, start, count.astype(np.int64), step)
-    keep = cols[3] > 0
+def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
+    """The number of (u_v, v) pairs the v side enumerates at each outer
+    value u (the family-2 boundary pair left out)."""
+    rows = _family2_vrows(ctx, u) if fam == 2 else _family3_vrows(ctx, u)
+    return sum(np.maximum(count, 0) for _, _, count, _ in rows)
+
+
+def _emit_vside(ctx, fam, vrows, tal, boundary=False):
+    """Classify the candidates of v-side rows: the (u_v, v) pairs are
+    expanded at most BLOCK_XSCAN at a time, and the x values of each pair
+    are solved from its band."""
+    u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in vrows)))
+    pairs = _ragged_pieces(start, count, step, BLOCK_XSCAN)
+    batches = (rows for r, v in pairs for rows in _band_rows(ctx, fam, u_v[r], v))
+    emit = _emit_family2 if fam == 2 else _emit_family3
+
+    def emit_x_rows(ctx, u_v, xi, v, tal, boundary):  # the rows range over x
+        emit(ctx, u_v, v, xi, tal, boundary)
+
+    _emit_rows(ctx, emit_x_rows, batches, tal, boundary)
+
+
+def _band_rows(ctx: _Ctx, fam: int, u_v, v):
+    """Row batches of x at each (u_v, v) pair: x = the family's residue mod
+    8, x^2 != y, and |x^2 - y| <= s, the widest gap the bound M allows at
+    |y| (s = M // |y| by conductor, isqrt(M // |y|) by discriminant; exact,
+    as x^2 - y is an integer)."""
+    if fam == 2:
+        y = u_v * v
+        res = -((u_v + v) >> 1) & 7  # u + v + 2x = 0 mod 16
+    else:
+        y = u_v * u_v + v * v
+        res = -u_v & 7  # x = -u mod 8
+    M = ctx.bounds[fam]
+    # a pair is live iff the square nearest y, at distance d, is in the band:
+    # d |y| <= M, or d^2 |y| <= M by discriminant; for y < 0, d = |y| is
+    # capped at isqrt(M) + 1, past which the test fails anyway, so d^2 |y|
+    # stays within int64
+    root = vec_isqrt(np.maximum(y, 0))
+    near = np.minimum(y - root * root, (root + 1) * (root + 1) - y)
+    d = np.where(y > 0, near, np.minimum(-y, isqrt(M) + 1))
+    if ctx.square:
+        d = d * d
+    live = np.flatnonzero(d * np.abs(y) <= M)
+    if len(live) == 0:
+        return
+    u_v, v, y, res, root = (a[live] for a in (u_v, v, y, res, root))
+    s = M // np.abs(y)
+    if ctx.square:
+        s = vec_isqrt(s)
+    hi = vec_isqrt(y + s)
+    bot = y - s
+    lo = np.where(bot > 0, vec_isqrt(np.maximum(bot - 1, 0)) + 1, 0)  # ceil sqrt
+    # |x| runs over [lo, hi] less the root of a square y, where w = 0
+    cut = np.where((y > 0) & (root * root == y), root, hi + 1)
+    for a, b in ((lo, cut - 1), (cut + 1, hi)):
+        first = a + ((res - a) & 7)
+        yield _rows(u_v, v, first, ((b - first) >> 3) + 1, 8)
+        first = -b + ((res + b) & 7)  # negative x, from -b up to -max(a, 1)
+        yield _rows(u_v, v, first, ((-np.maximum(a, 1) - first) >> 3) + 1, 8)
+
+
+def _ragged_pieces(start, count, step, cap):
+    """_ragged over all rows, in pieces of at most cap values; a longer row
+    is split across pieces.  Yields (row index, value) arrays."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, cap):
+        hi = min(lo + cap, total)
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        st, ct = start[a:b].copy(), count[a:b].copy()
+        skip = lo - int(ends[a] - count[a])  # values of row a already done
+        st[0] += skip * step[a]
+        ct[0] -= skip
+        ct[-1] -= int(ends[b - 1]) - hi
+        yield _ragged(np.arange(a, b), st, ct, step[a:b])
+
+
+def _rows(*cols):
+    """The nonempty rows of stepped ranges: fixed columns, then start, count
+    and step; count values start + step*j per row.  Arguments broadcast
+    against each other."""
+    cols = np.broadcast_arrays(*cols[:-2], np.asarray(cols[-2], dtype=np.int64), cols[-1])
+    keep = cols[-2] > 0
     return [c[keep] for c in cols]
 
 
@@ -660,16 +772,10 @@ def _emit_rows(ctx, emit, batches, tal, boundary=False):
 
 def _classify_rows(ctx, emit, batches, tal, boundary):
     """Expand rows into candidates, at most CHUNK_CANDIDATES per
-    classification pass (one longer row makes its own pass)."""
+    classification pass."""
     u_v, xs, start, count, step = (np.concatenate(col) for col in zip(*batches))
-    ends = np.cumsum(count)
-    lo = 0
-    while lo < len(count):
-        cap = ends[lo] - count[lo] + CHUNK_CANDIDATES
-        hi = max(int(np.searchsorted(ends, cap, side="right")), lo + 1)
-        r, v = _ragged(np.arange(lo, hi), start[lo:hi], count[lo:hi], step[lo:hi])
+    for r, v in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
         emit(ctx, u_v[r], v, xs[r], tal, boundary)
-        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +792,27 @@ def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
                 _family1_unit(ctx, A, tal)
             continue
         unit = _family2_unit if fam == 2 else _family3_unit
-        size = -(-BLOCK_XSCAN // (2 * ctx.windows[fam].xmax + 1))
-        for k in range(0, len(outers), size):
-            unit(ctx, outers[k : k + size], tal)
+        for block in _blocks(ctx, fam, outers):
+            unit(ctx, block, tal)
     return tal
+
+
+def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
+    """Consecutive outer values in blocks that close once their scan reaches
+    BLOCK_XSCAN: its v pairs for a u on the v side, 2*xmax+1 on the x side."""
+    u = np.asarray(outers, dtype=np.int64)
+    size = _v_pairs(ctx, fam, u)
+    if fam == 2:
+        size = np.where(_family2_vside(ctx, outers), size, 2 * ctx.windows[2].xmax + 1)
+    block, n = [], 0
+    for outer, k in zip(outers, size.tolist()):
+        block.append(outer)
+        n += k
+        if n >= BLOCK_XSCAN:
+            yield block
+            block, n = [], 0
+    if block:
+        yield block
 
 
 _FORK_CTX = None

@@ -34,6 +34,20 @@ def parse_exact_int(s: str) -> int:
     return n
 
 
+def _usage_error(message: str):
+    """A bad argument is a usage error: one line on stderr, exit code 2 and
+    no traceback."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_arg(parse, text: str, what: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        _usage_error(f"bad {what} {text!r}: {exc}")
+
+
 _GLOBAL_DEFAULTS = {"format": "json", "shards": "1", "out": "", "manifest": ""}
 
 
@@ -124,12 +138,12 @@ def cmd_classify(args, globals_) -> dict:
     )
     from .resolvent import conductor_poly, decompose_family
 
-    F = BinQuartForm.parse(args.form)
+    F = _parse_arg(BinQuartForm.parse, args.form, "form")
     if F.a4 == 0:
-        raise SystemExit("error: leading coefficient a4 must be nonzero")
+        _usage_error("leading coefficient a4 must be nonzero")
     d = disc_quartic(F)
     if d == 0:
-        raise SystemExit("error: form has zero discriminant")
+        _usage_error("form has zero discriminant")
     fams = sorted(family_membership(F))
     report = {
         "form": F.serialize(),
@@ -154,7 +168,7 @@ def cmd_classify(args, globals_) -> dict:
 
 
 def cmd_family(args, globals_) -> dict:
-    F = BinQuartForm.parse(args.form)
+    F = _parse_arg(BinQuartForm.parse, args.form, "form")
     fams = sorted(family_membership(F))
     return {
         "form": F.serialize(),
@@ -166,12 +180,12 @@ def cmd_family(args, globals_) -> dict:
 def cmd_decompose(args, globals_) -> dict:
     from .resolvent import decompose_family
 
-    c = FamilyCoords.parse(args.coords)
+    c = _parse_arg(FamilyCoords.parse, args.coords, "coordinates")
     return json.loads(decompose_family(c).to_json())
 
 
 def cmd_maximal(args, globals_) -> dict:
-    c = FamilyCoords.parse(args.coords)
+    c = _parse_arg(FamilyCoords.parse, args.coords, "coordinates")
     rep = is_maximal(c)
     out = json.loads(rep.to_json())
     out["coords"] = c.serialize()
@@ -223,22 +237,19 @@ def validate_box(box: int, pmax: int, flip_clause: bool = False) -> dict:
 
 
 def cmd_validate(args, globals_) -> dict:
-    # an empty box or prime list would check nothing: a usage error, one
-    # line and exit code 2
+    # an empty box or prime list would check nothing
     if args.box < 1 or args.pmax < 2:
-        print(
-            f"error: need --box >= 1 and --pmax >= 2, got {args.box} and {args.pmax}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _usage_error(f"need --box >= 1 and --pmax >= 2, got {args.box} and {args.pmax}")
     return validate_box(args.box, args.pmax, args.flip_clause)
 
 
 def cmd_densities(args, globals_) -> dict:
-    from .arith import is_squarefree
+    from .arith import is_prime, is_squarefree
     from .densities import DensityTable, rho1, rho2, rho2_prime, rho2_zero, rho_v4
 
-    primes = [int(t) for t in args.primes.split(",")]
+    primes = _parse_arg(lambda t: [int(p) for p in t.split(",")], args.primes, "--primes")
+    if not all(is_prime(p) for p in primes):
+        _usage_error(f"--primes must list primes, got {args.primes!r}")
     rows = []
     mismatch = 0
     for a in range(-args.a_bound, args.a_bound + 1):
@@ -295,9 +306,7 @@ def cmd_census(args, globals_) -> dict:
             emit=bool(args.emit),
         )
     except ValueError as exc:
-        # a bad setting is a usage error: one line and exit code 2, no traceback
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(str(exc))
     tal = run_census(cfg)
     summary = summarize(cfg, tal)
     if args.emit:
@@ -320,6 +329,8 @@ def cmd_constants(args, globals_) -> dict:
     from .densities import euler_product
 
     which = args.which
+    if args.prime_limit < 2:
+        _usage_error(f"--prime-limit must be >= 2, got {args.prime_limit}")
     if which == "carefree":
         v, t = euler_product("carefree", args.prime_limit)
         return {"which": which, "value": v, "tail_bound": t, "prime_limit": args.prime_limit}

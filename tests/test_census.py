@@ -193,14 +193,107 @@ def test_boundary_records_canonical():
 
 @pytest.mark.parametrize("size", [1, 10**9])
 def test_block_and_chunk_edges(monkeypatch, size):
-    # one outer value per block and one row per classification pass, or the
-    # whole family in one block and one pass: off-by-ones at edges show here
+    # one outer value per block, one (u, v) pair per v-side piece and one
+    # candidate per classification pass, or the whole family in one block and
+    # one pass: off-by-ones at edges show here
     from quartic_census import census
 
     monkeypatch.setattr(census, "BLOCK_XSCAN", size)
     monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
     for mode, pinned in PINNED_HASH_2E4.items():
+        # family 2 runs on both sides here, so the (u, v) rows of the v side
+        # are split into one-pair pieces or merged into one block as well
+        ctx = census._Ctx(CensusConfig(x=20000, mode=mode))
+        vside = census._family2_vside(ctx, [u for f, u in ctx.units() if f == 2])
+        assert vside.any() and not vside.all(), mode
         assert _hash_2e4(mode) == pinned, mode
+
+
+@pytest.mark.parametrize("side", ["x", "v"])
+def test_family2_side_forced(monkeypatch, side):
+    # every family-2 outer value from one side, the x-scan or the (u, v)
+    # pivot: the per-u choice of side cannot change any output
+    import numpy as np
+
+    from quartic_census import census
+
+    monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), side == "v"))
+    for mode, pinned in PINNED_HASH_2E4.items():
+        assert _hash_2e4(mode) == pinned, mode
+    cfg, tal = _run_emit(10**5, "conductor", shards=2)
+    assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
+
+
+def test_family2_sides_make_the_same_candidates(monkeypatch):
+    # stronger than the hashes, which see only accepted records: the x-scan
+    # and the (u, v) pivot pass the same candidates, boundary flags and
+    # multiplicities included, to the filter
+    import numpy as np
+
+    from quartic_census import census
+
+    def candidates(mode, vside):
+        seen = []
+
+        def record(ctx, fam, A, B, C, y, w, tal, boundary=False):
+            seen.append(np.stack([A, B, C, y, w, np.full(len(A), boundary)], axis=1))
+
+        monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), vside))
+        monkeypatch.setattr(census, "_classify_and_tally", record)
+        run_census(CensusConfig(x=20000, mode=mode, families=(2,)))
+        rows = np.concatenate(seen)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    for mode in ("conductor", "discriminant"):
+        xs = candidates(mode, False)
+        assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
+
+
+def _pivot_bounds(X, mode):
+    """Python-int bounds on the (u, v) pivot's intermediates for families 2
+    and 3 at X, from the bound M and y_eff = M // 4^e."""
+    e = 1 if mode == "conductor" else 2
+    M = 4**e * X - 1
+    Y = M // 4**e  # |u v| and u^2 + v^2 are at most Y; |u| <= isqrt(Y)
+    r = isqrt(Y)
+    d = max(2 * r + 1, isqrt(M) + 1)  # distance to the nearest square, capped
+    return {
+        "M // |y|": M,
+        "y + s": Y + M,
+        "|y - s|": Y + M,
+        "x^2": isqrt(Y + M) ** 2,
+        "|u v|": Y,
+        "u^2 + v^2": Y,
+        "|u + v + 2x|": r + Y + 2 * isqrt(Y + M),
+        "(root + 1)^2": (r + 1) ** 2,
+        "d^e |y|": d**e * Y,
+        "|x^2 - y|": 2 * Y + M,
+    }
+
+
+def test_pivot_int64_envelope(monkeypatch):
+    # at the caps every bound stays below 2^62, where vec_isqrt is exact
+    import numpy as np
+
+    from quartic_census import census
+
+    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+        for name, bound in _pivot_bounds(X, mode).items():
+            assert bound < 2**62, (mode, name, bound)
+    # and the bounds hold in a run: the largest square-root argument of a
+    # census with every family-2 u on the v side is within its bound
+    real_isqrt, seen = census.vec_isqrt, []
+
+    def recording_isqrt(n):
+        seen.append(int(n.max(initial=0)))
+        return real_isqrt(n)
+
+    monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), True))
+    monkeypatch.setattr(census, "vec_isqrt", recording_isqrt)
+    for mode in ("conductor", "discriminant"):
+        seen.clear()
+        run_census(CensusConfig(x=20000, mode=mode, families=(2, 3)))
+        assert 0 < max(seen) <= _pivot_bounds(20000, mode)["y + s"], mode
 
 
 def test_v4_dual_route():

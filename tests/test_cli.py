@@ -64,14 +64,35 @@ def test_validate_and_bug_injection(capsys):
     assert rep["checked"] == 0 and rep["pass"] is False
 
 
-@pytest.mark.parametrize("argv", [["--pmax", "1"], ["--box", "-2"], ["--box", "0"]])
-def test_validate_rejects_empty_box(capsys, argv):
+def assert_one_line_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["validate", *argv])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--pmax", "1"], ["--box", "-2"], ["--box", "0"]])
+def test_validate_rejects_empty_box(capsys, argv):
+    assert_one_line_error(capsys, ["validate", *argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1,0,x"],
+        ["classify", "0,0,0,0,1"],
+        ["family", "1,0"],
+        ["maximal", "4:1,2,3"],
+        ["decompose", "zz"],
+        ["densities", "--primes", "4"],
+        ["densities", "--primes", "2,a"],
+        ["constants", "--which", "carefree", "--prime-limit", "0"],
+    ],
+)
+def test_bad_input_is_one_line(capsys, argv):
+    assert_one_line_error(capsys, argv)
 
 
 def test_densities_csv(capsys, tmp_path):
@@ -152,12 +173,7 @@ def test_census_rejects_non_integer():
     ],
 )
 def test_census_config_error_is_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_one_line_error(capsys, argv)
 
 
 def test_census_discriminant_v4(capsys):

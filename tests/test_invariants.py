@@ -183,11 +183,12 @@ def test_family1_alternate_pivot_recount():
     assert set(map(tuple, tal.records[:, 1:4].tolist())) == recs
 
 
-def _pair_pivot_recount(fam, X, pairs, coords):
+def _pair_pivot_recount(fam, X, pairs, coords, mode="conductor"):
     # independent re-enumeration of one family's canonical records: x is
-    # solved per cofactor pair (u, v) from 0 < |y w| < X with 4|w| = |x^2 - y|
-    # (the engine solves cofactors per x from window tables); the scalar
-    # pipeline filters and canonical_coords picks the orbit representative
+    # solved per cofactor pair (u, v) from 0 < |y w| < X (conductor) or
+    # 0 < |y w^2| < X (discriminant) with 4|w| = |x^2 - y|, filtered by the
+    # exact conductor_poly or disc_quartic; the scalar pipeline filters and
+    # canonical_coords picks the orbit representative
     from quartic_census.census import CensusConfig, run_census
     from quartic_census.classify import (
         GaloisTag,
@@ -197,16 +198,21 @@ def _pair_pivot_recount(fam, X, pairs, coords):
     )
     from quartic_census.resolvent import conductor_poly
 
+    def value(c):
+        return conductor_poly(c) if mode == "conductor" else disc_quartic(to_form(c))
+
     counts, recs, flagged = [0, 0, 0], set(), 0
     for u, v, y in pairs:
         W = (X - 1) // abs(y)
+        if mode == "discriminant":
+            W = isqrt(W)
         lo, hi = max(y - 4 * W, 0), y + 4 * W
         if hi < 0:
             continue
         for ax in range(isqrt(lo - 1) + 1 if lo else 0, isqrt(hi) + 1):
             for x in {ax, -ax}:
                 c = coords(u, v, x)
-                if c is None or c.A == 0 or not 0 < abs(conductor_poly(c)) < X:
+                if c is None or c.A == 0 or not 0 < abs(value(c)) < X:
                     continue
                 canon, flag = canonical_coords(c)
                 if canon != c or not is_maximal(c).is_maximal:
@@ -216,7 +222,7 @@ def _pair_pivot_recount(fam, X, pairs, coords):
                 counts[family_real_signature(c).r2] += 1
                 recs.add((c.A, c.B, c.C))
                 flagged += flag
-    cfg = CensusConfig(x=X, mode="conductor", galois="d4", families=(fam,), emit=True)
+    cfg = CensusConfig(x=X, mode=mode, galois="d4", families=(fam,), emit=True)
     tal = run_census(cfg)
     assert [tal.total(k) for k in range(3)] == counts
     assert set(map(tuple, tal.records[:, 1:4].tolist())) == recs
@@ -224,16 +230,16 @@ def _pair_pivot_recount(fam, X, pairs, coords):
     return flagged
 
 
-def test_family2_alternate_pivot_recount():
+def _family2_coords(u, v, x):
     # u = 4A-2B+C, v = 4A+2B+C, x = 4A-C; a canonical member has |u| <= |v|
-    X = 30000
+    if (u + v + 2 * x) % 16 or (v - u) % 4:
+        return None
+    return FamilyCoords(2, (u + v + 2 * x) // 16, (v - u) // 4, (u + v - 2 * x) // 4)
 
-    def coords(u, v, x):
-        if (u + v + 2 * x) % 16 or (v - u) % 4:
-            return None
-        return FamilyCoords(2, (u + v + 2 * x) // 16, (v - u) // 4, (u + v - 2 * x) // 4)
 
-    pairs = (
+def _family2_pairs(X):
+    # |y| < X in both modes, as |w| >= 1
+    return (
         (u, v, u * v)
         for a in range(1, isqrt(X - 1) + 1)
         for b in range(a, (X - 1) // a + 1)
@@ -241,27 +247,44 @@ def test_family2_alternate_pivot_recount():
         for v in (b, -b)
         if (u - v) % 4 == 0
     )
-    # the tied orbits u = -v are flagged and canonicalised to B < 0
-    assert _pair_pivot_recount(2, X, pairs, coords) > 0
 
 
-def test_family3_alternate_pivot_recount():
+def _family3_coords(u, v, x):
     # u = 4A-C, v = 2B, x = 4A+C, y = u^2+v^2; a canonical member has B >= 0
-    X = 30000
+    if (u + x) % 8:
+        return None
+    return FamilyCoords(3, (u + x) // 8, v // 2, (x - u) // 2)
+
+
+def _family3_pairs(X):
     r = isqrt(X)
-
-    def coords(u, v, x):
-        if (u + x) % 8:
-            return None
-        return FamilyCoords(3, (u + x) // 8, v // 2, (x - u) // 2)
-
-    pairs = (
+    return (
         (u, v, u * u + v * v)
         for v in range(0, r + 1, 2)
         for u in range(-r, r + 1)
         if 0 < u * u + v * v < X
     )
-    assert _pair_pivot_recount(3, X, pairs, coords) == 0
+
+
+def test_family2_alternate_pivot_recount():
+    # the tied orbits u = -v are flagged and canonicalised to B < 0
+    X = 30000
+    assert _pair_pivot_recount(2, X, _family2_pairs(X), _family2_coords) > 0
+
+
+def test_family3_alternate_pivot_recount():
+    X = 30000
+    assert _pair_pivot_recount(3, X, _family3_pairs(X), _family3_coords) == 0
+
+
+def test_family2_disc_pivot_recount():
+    X = 150_000
+    assert _pair_pivot_recount(2, X, _family2_pairs(X), _family2_coords, "discriminant") > 0
+
+
+def test_family3_disc_pivot_recount():
+    X = 1_000_000
+    assert _pair_pivot_recount(3, X, _family3_pairs(X), _family3_coords, "discriminant") == 0
 
 
 def test_census_excluded_small_relative():
