@@ -19,8 +19,9 @@ Family 1 runs one A at a time.  Families 2 and 3 run in blocks of
 consecutive u that close once their scan reaches BLOCK_XSCAN; a block turns
 its pairs into rows of stepped ranges (of v on the x side, of x on the v
 side), and the rows are expanded into candidates that are classified in
-chunks of at most CHUNK_CANDIDATES, so a block's memory stays bounded
-whatever its size.
+chunks of at most CHUNK_CANDIDATES.  The v side also solves its (u, v)
+pairs in pieces of at most CHUNK_CANDIDATES, so a block's memory stays
+bounded whatever its size.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -49,9 +50,8 @@ X_MAX_V4_COUNT = 10**16
 
 #: A block of family-2 or family-3 outer values u closes once its scan,
 #: 2*xmax+1 per value on the x side and its (u, v) pairs on the v side,
-#: reaches this size; the v side also expands at most this many pairs at a
-#: time.  Blocks amortize the per-call numpy overhead; larger ones gain
-#: little time and raise the peak RSS.
+#: reaches this size.  Blocks amortize the per-call numpy overhead; larger
+#: ones gain little time and raise the peak RSS.
 BLOCK_XSCAN = 1 << 15
 #: A family-2 outer value u is enumerated from the v side when its (u, v)
 #: pairs number at most this many times its pruned x-range: an x-side
@@ -60,8 +60,10 @@ BLOCK_XSCAN = 1 << 15
 #: noise from 2 to 4 and grows outside it, by conductor and by discriminant
 #: at X = 6e5 and 1e7 (2-vCPU Xeon VM); 3 was fastest or tied.
 X_PAIR_COST = 3
-#: At most this many candidates go through one classification pass, which
-#: bounds the size of its temporaries.
+#: At most this many candidates go through one classification pass, and at
+#: most this many (u, v) pairs through one band pass on the v side, which
+#: bounds the size of their temporaries (2^15 pairs per band pass raised
+#: the peak RSS of a shard at conductor X = 3e5 by 1.2 MB, at equal speed).
 CHUNK_CANDIDATES = 1 << 13
 #: Records are formatted and hashed this many CSV rows at a time.
 CSV_CHUNK_ROWS = 1 << 14
@@ -676,10 +678,10 @@ def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
 
 def _emit_vside(ctx, fam, vrows, tal, boundary=False):
     """Classify the candidates of v-side rows: the (u_v, v) pairs are
-    expanded at most BLOCK_XSCAN at a time, and the x values of each pair
-    are solved from its band."""
+    expanded at most CHUNK_CANDIDATES at a time, and the x values of each
+    pair are solved from its band."""
     u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in vrows)))
-    pairs = _ragged_pieces(start, count, step, BLOCK_XSCAN)
+    pairs = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
     batches = (rows for r, v in pairs for rows in _band_rows(ctx, fam, u_v[r], v))
     emit = _emit_family2 if fam == 2 else _emit_family3
 
