@@ -678,17 +678,40 @@ def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
 
 def _emit_vside(ctx, fam, vrows, tal, boundary=False):
     """Classify the candidates of v-side rows: the (u_v, v) pairs are
-    expanded at most CHUNK_CANDIDATES at a time, and the x values of each
-    pair are solved from its band."""
+    expanded and tested against their band at most CHUNK_CANDIDATES at a
+    time, and the x values of the live ones are solved in batches."""
     u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in vrows)))
-    pairs = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
-    batches = (rows for r, v in pairs for rows in _band_rows(ctx, fam, u_v[r], v))
+    pieces = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
+    live = (_live_pairs(ctx, fam, u_v[r], v) for r, v in pieces)
+    batches = _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0]))
     emit = _emit_family2 if fam == 2 else _emit_family3
 
     def emit_x_rows(ctx, u_v, xi, v, tal, boundary):  # the rows range over x
         emit(ctx, u_v, v, xi, tal, boundary)
 
-    _emit_rows(ctx, emit_x_rows, batches, tal, boundary)
+    rows = (rows for pairs in batches for rows in _band_rows(ctx, fam, *pairs))
+    _emit_rows(ctx, emit_x_rows, rows, tal, boundary)
+
+
+def _pair_y(fam, u_v, v):
+    return u_v * v if fam == 2 else u_v * u_v + v * v
+
+
+def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
+    """The (u_v, v) pairs whose band |x^2 - y| <= s (see _band_rows) holds
+    a square: the square nearest y, at distance d, must lie in it, that is
+    d |y| <= M, or d^2 |y| <= M by discriminant.  For y < 0, d = |y| is
+    capped at isqrt(M) + 1, past which the test fails anyway, so d^2 |y|
+    stays within int64."""
+    M = ctx.bounds[fam]
+    y = _pair_y(fam, u_v, v)
+    root = vec_isqrt(np.maximum(y, 0))
+    near = np.minimum(y - root * root, (root + 1) * (root + 1) - y)
+    d = np.where(y > 0, near, np.minimum(-y, isqrt(M) + 1))
+    if ctx.square:
+        d = d * d
+    live = np.flatnonzero(d * np.abs(y) <= M)
+    return [u_v[live], v[live]]
 
 
 def _band_rows(ctx: _Ctx, fam: int, u_v, v):
@@ -696,33 +719,19 @@ def _band_rows(ctx: _Ctx, fam: int, u_v, v):
     8, x^2 != y, and |x^2 - y| <= s, the widest gap the bound M allows at
     |y| (s = M // |y| by conductor, isqrt(M // |y|) by discriminant; exact,
     as x^2 - y is an integer)."""
+    y = _pair_y(fam, u_v, v)
     if fam == 2:
-        y = u_v * v
         res = -((u_v + v) >> 1) & 7  # u + v + 2x = 0 mod 16
     else:
-        y = u_v * u_v + v * v
         res = -u_v & 7  # x = -u mod 8
-    M = ctx.bounds[fam]
-    # a pair is live iff the square nearest y, at distance d, is in the band:
-    # d |y| <= M, or d^2 |y| <= M by discriminant; for y < 0, d = |y| is
-    # capped at isqrt(M) + 1, past which the test fails anyway, so d^2 |y|
-    # stays within int64
-    root = vec_isqrt(np.maximum(y, 0))
-    near = np.minimum(y - root * root, (root + 1) * (root + 1) - y)
-    d = np.where(y > 0, near, np.minimum(-y, isqrt(M) + 1))
-    if ctx.square:
-        d = d * d
-    live = np.flatnonzero(d * np.abs(y) <= M)
-    if len(live) == 0:
-        return
-    u_v, v, y, res, root = (a[live] for a in (u_v, v, y, res, root))
-    s = M // np.abs(y)
+    s = ctx.bounds[fam] // np.abs(y)
     if ctx.square:
         s = vec_isqrt(s)
     hi = vec_isqrt(y + s)
     bot = y - s
     lo = np.where(bot > 0, vec_isqrt(np.maximum(bot - 1, 0)) + 1, 0)  # ceil sqrt
     # |x| runs over [lo, hi] less the root of a square y, where w = 0
+    root = vec_isqrt(np.maximum(y, 0))
     cut = np.where((y > 0) & (root * root == y), root, hi + 1)
     for a, b in ((lo, cut - 1), (cut + 1, hi)):
         first = a + ((res - a) & 7)
@@ -757,27 +766,28 @@ def _rows(*cols):
     return [c[keep] for c in cols]
 
 
+def _batched(stream, cap, size):
+    """Join a stream of column lists into batches whose sizes sum to at
+    least cap (the last batch may hold less; an empty one is dropped)."""
+    pending, n = [], 0
+    for cols in stream:
+        pending.append(cols)
+        n += size(cols)
+        if n >= cap:
+            yield [np.concatenate(c) for c in zip(*pending)]
+            pending, n = [], 0
+    if n:
+        yield [np.concatenate(c) for c in zip(*pending)]
+
+
 def _emit_rows(ctx, emit, batches, tal, boundary=False):
     """Classify the candidates of a stream of row batches.  Batches are held
     back until they reach CHUNK_CANDIDATES candidates, so one block's rows
-    never sit in memory all at once."""
-    pending, n = [], 0
-    for rows in batches:
-        pending.append(rows)
-        n += int(rows[3].sum())
-        if n >= CHUNK_CANDIDATES:
-            _classify_rows(ctx, emit, pending, tal, boundary)
-            pending, n = [], 0
-    if n:
-        _classify_rows(ctx, emit, pending, tal, boundary)
-
-
-def _classify_rows(ctx, emit, batches, tal, boundary):
-    """Expand rows into candidates, at most CHUNK_CANDIDATES per
-    classification pass."""
-    u_v, xs, start, count, step = (np.concatenate(col) for col in zip(*batches))
-    for r, v in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
-        emit(ctx, u_v[r], v, xs[r], tal, boundary)
+    never sit in memory all at once, and expanded at most CHUNK_CANDIDATES
+    candidates per classification pass."""
+    for u_v, xs, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
+        for r, v in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
+            emit(ctx, u_v[r], v, xs[r], tal, boundary)
 
 
 # ---------------------------------------------------------------------------
