@@ -166,15 +166,6 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def squarefree_sieve(limit: int) -> np.ndarray:
-    """Boolean array sf with sf[n] == True iff 1 <= n <= limit is squarefree."""
-    sf = np.ones(limit + 1, dtype=bool)
-    sf[0] = False
-    for p in primes_upto(isqrt(limit)):
-        sf[p * p :: p * p] = False
-    return sf
-
-
 class PackedSquarefree:
     """Bit-packed squarefree table supporting vectorized random lookups.
 

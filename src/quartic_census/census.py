@@ -8,24 +8,23 @@ Enumeration strategy per family: substitute (u, v, x) with y built from
 other two coordinates are enumerated from one of two sides:
 
 * the x side: a numpy x-array, with the cofactor ranges read from exact
-  integer window endpoints computed once per |x| (family 1, and family 2 at
-  small u, where the band of x around each y is wide);
-* the v side: (u, v) pairs, with the x of each pair solved from the exact
-  band |x^2 - y| <= s, s = M // |y| or isqrt(M // |y|) (family 3, and
-  family 2 at the u where its v pairs cost less than its x-scan; see
-  X_PAIR_COST).
+  integer window endpoints computed once per |x| (families 1 and 2 at small
+  A or u, where the band of x around each y is wide);
+* the v side: (u, v) pairs, (A, C) for family 1, with the x of each pair
+  solved from the exact band |x^2 - y| <= s, s = M // |y| or
+  isqrt(M // |y|) (family 3, and families 1 and 2 at the outer values where
+  their pairs cost less than their x-scan; see X_PAIR_COST).
 
-Family 1 runs one A at a time.  Families 2 and 3 run in blocks of
-consecutive u that close once their scan reaches BLOCK_XSCAN; a block turns
-its pairs into rows of stepped ranges (of v on the x side, of x on the v
-side), and the rows are expanded into candidates that are classified in
-chunks of at most CHUNK_CANDIDATES.  The v side also solves its (u, v)
-pairs in pieces of at most CHUNK_CANDIDATES, so a block's memory stays
-bounded whatever its size.
+Every family runs in blocks of consecutive outer values that close once
+their scan reaches BLOCK_XSCAN; a block turns its pairs into rows of stepped
+ranges (of C or v on the x side, of x on the v side), and the rows are
+expanded into candidates that are classified in chunks of at most
+CHUNK_CANDIDATES.  The v side also solves its pairs in pieces of at most
+CHUNK_CANDIDATES, so a block's memory stays bounded whatever its size.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
-the side chosen for a u can change any output.
+the side chosen for an outer value can change any output.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import PackedSquarefree, factorize, vec_is_square, vec_isqrt
-from .forms import BinQuartForm, FamilyCoords, disc_quartic
+from .forms import BinQuartForm, FamilyCoords, disc_quartic, hessian_seminvariants
 from .maximality import vec_is_maximal_at
 
 #: int64 safety caps for the vectorized engines (explicit errors above).
@@ -48,15 +47,15 @@ X_MAX_DISC = 200_000_000
 #: count_v4_by_disc sieves up to sqrt(X): a 12.5 MB table at this cap.
 X_MAX_V4_COUNT = 10**16
 
-#: A block of family-2 or family-3 outer values u closes once its scan,
-#: 2*xmax+1 per value on the x side and its (u, v) pairs on the v side,
-#: reaches this size.  Blocks amortize the per-call numpy overhead; larger
-#: ones gain little time and raise the peak RSS.
+#: A block of outer values closes once its scan, 2*xmax+1 per value on the
+#: x side and its pairs on the v side, reaches this size.  Blocks amortize
+#: the per-call numpy overhead; larger ones gain little time and raise the
+#: peak RSS.
 BLOCK_XSCAN = 1 << 15
-#: A family-2 outer value u is enumerated from the v side when its (u, v)
-#: pairs number at most this many times its pruned x-range: an x-side
-#: (u, x) pair goes through four window pieces and both signs of u, a v-side
-#: pair through one square root.  Family-2 enumeration time is flat within
+#: A family-1 or family-2 outer value is enumerated from the v side when its
+#: pairs number at most this many times its x-scan: an x-side (u, x) pair
+#: goes through four window pieces and both signs of u, a v-side pair
+#: through one square root.  Family-2 enumeration time is flat within
 #: noise from 2 to 4 and grows outside it, by conductor and by discriminant
 #: at X = 6e5 and 1e7 (2-vCPU Xeon VM); 3 was fastest or tied.
 X_PAIR_COST = 3
@@ -457,11 +456,9 @@ def _r2_vec(fam, A, B, C):
         r2[uv < 0] = 1
         r2[(uv > 0) & (B * B - 4 * A * C > 0) & (u * (4 * A - C) < 0)] = 0
         return r2
-    # family 3: disc > 0 always, so r2 is 0 or 2 via the sign table
-    H = 8 * A * (C - 2 * A) - 3 * B * B
-    A2 = A * A
-    Cm = C - 2 * A
-    S = 3 * B**4 - 16 * A * B * B * Cm + 16 * A2 * Cm * Cm - 16 * A2 * B * B - 64 * A2 * A2
+    # family 3: disc > 0 always, so r2 is 0 or 2 via the sign table of the
+    # form (A, B, C - 2A, -B, A)
+    H, S = hessian_seminvariants(A, B, C - 2 * A, -B, A)
     r2[(S > 0) & (H < 0)] = 0
     return r2
 
@@ -509,43 +506,6 @@ def _branches(w: _Windows, ax):
         yield 1, w.pos_lo[k, ax], w.pos_hi[k, ax]
 
 
-def _family1_unit(ctx: _Ctx, A: int, tal: Tallies):
-    w = ctx.windows[1]
-    xs = _pruned_xs(w, 4 * A * A)
-    ax = np.abs(xs)
-    step = 4 * A
-    for sign, lo_a, hi_a in _branches(w, ax):
-        lo = np.maximum(lo_a, step * (A + 1))
-        first = _ceil_div(lo, step) * step
-        counts = hi_a // step - first // step + 1
-        xi, yabs = _ragged(xs, first, counts, step)
-        if len(xi) == 0:
-            continue
-        cabs = yabs // step
-        y = sign * yabs
-        wq = xi * xi - y
-        for sA in (1, -1):
-            Av = np.full(len(xi), sA * A, dtype=np.int64)
-            Cv = (sA * sign) * cabs
-            _classify_and_tally(ctx, 1, Av, xi, Cv, y, wq, tal)
-    # |C| = A: singleton orbit when C = A, flagged boundary pair when C = -A
-    for sign in (1, -1):
-        y0 = sign * 4 * A * A
-        mask = w.contains_mask(ax, y0)
-        if not mask.any():
-            continue
-        xi = xs[mask]
-        y = np.full(len(xi), y0, dtype=np.int64)
-        wq = xi * xi - y
-        if sign > 0:
-            for sA in (1, -1):
-                Av = np.full(len(xi), sA * A, dtype=np.int64)
-                _classify_and_tally(ctx, 1, Av, xi, Av.copy(), y, wq, tal)
-        else:
-            Av = np.full(len(xi), -A, dtype=np.int64)
-            _classify_and_tally(ctx, 1, Av, xi, -Av, y, wq, tal, boundary=True)
-
-
 def _pruned_ranges(w: _Windows, outer_sq: int) -> list[tuple[int, int]]:
     """Ranges [lo, hi] of |x| whose window can reach |y| >= outer_sq
     (conservative)."""
@@ -567,38 +527,93 @@ def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
     return xs
 
 
+def _family1_unit(ctx: _Ctx, As: list[int], tal: Tallies):
+    """One block of family-1 outer values A, each from the side that _vside
+    picks for it."""
+    _two_sided_unit(ctx, 1, As, tal)
+
+
 def _family2_unit(ctx: _Ctx, us: list[int], tal: Tallies):
-    """One block of family-2 outer values, each from the side that
-    _family2_vside picks for it."""
-    vside = _family2_vside(ctx, us)
-    xs_us = [u for u, v in zip(us, vside) if not v]
-    if xs_us:
-        _family2_xside(ctx, xs_us, tal)
+    """One block of family-2 outer values u, each from the side that _vside
+    picks for it."""
+    _two_sided_unit(ctx, 2, us, tal)
+
+
+def _two_sided_unit(ctx: _Ctx, fam: int, us: list[int], tal: Tallies):
+    vside = _vside(ctx, fam, us)
+    u = np.asarray(us, dtype=np.int64)
+    if not vside.all():
+        _xside(ctx, fam, u[~vside], tal)
     if vside.any():
-        u = np.asarray(us, dtype=np.int64)[vside]
-        _emit_vside(ctx, 2, _family2_vrows(ctx, u), tal)
-        # v = -u (u even) is the flagged boundary pair
-        _emit_vside(ctx, 2, [(u, -u, (u & 1) == 0, 0)], tal, boundary=True)
+        u = u[vside]
+        _emit_vside(ctx, fam, _VROWS[fam](ctx, u), tal)
+        # the flagged boundary pair: (A, C) = (-A, A), or v = -u (u even)
+        pair = (-u, u, 1, 0) if fam == 1 else (u, -u, (u & 1) == 0, 0)
+        _emit_vside(ctx, fam, [pair], tal, boundary=True)
 
 
-def _family2_vside(ctx: _Ctx, us) -> np.ndarray:
-    """Which family-2 outer values u enumerate from the v side: those whose
-    v pairs number at most X_PAIR_COST times the length of their pruned
-    x-range (one parity of signed x)."""
-    w = ctx.windows[2]
-    xlen = [sum(hi - lo + 1 for lo, hi in _pruned_ranges(w, u * u)) for u in us]
-    return _v_pairs(ctx, 2, np.asarray(us, dtype=np.int64)) <= X_PAIR_COST * np.asarray(xlen)
+def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
+    """Which family-1 or family-2 outer values enumerate from the v side:
+    those whose pairs number at most X_PAIR_COST times their x-scan, the
+    signed x of the pruned x-range at the outer square 4A^2 (family 1) or of
+    one parity at u^2 (family 2)."""
+    w = ctx.windows[fam]
+    sq, signs = (4, 2) if fam == 1 else (1, 1)
+    xlen = [signs * sum(hi - lo + 1 for lo, hi in _pruned_ranges(w, sq * u * u)) for u in us]
+    return _v_pairs(ctx, fam, np.asarray(us, dtype=np.int64)) <= X_PAIR_COST * np.asarray(xlen)
 
 
-def _family2_xside(ctx: _Ctx, us: list[int], tal: Tallies):
-    w = ctx.windows[2]
-    xs_of = [_pruned_xs(w, u * u, parity=u & 1) for u in us]
-    u = np.repeat(np.asarray(us, dtype=np.int64), [len(xs) for xs in xs_of])
+def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
+    """The (outer, x) pairs of a block over their pruned x-ranges (one parity
+    of x for family 2), as rows of stepped C or v ranges."""
+    w = ctx.windows[fam]
+    sq = 4 if fam == 1 else 1
+    xs_of = [_pruned_xs(w, sq * u * u, parity=None if fam == 1 else u & 1) for u in us.tolist()]
+    u = np.repeat(us, [len(xs) for xs in xs_of])
     xs = np.concatenate(xs_of)
-    _emit_rows(ctx, _emit_family2, _family2_rows(w, u, xs), tal)
-    # v = -u (u even) is the flagged boundary pair
-    pair = ((u & 1) == 0) & w.contains_mask(np.abs(xs), -u * u) & (xs % 8 == 0)
-    _emit_rows(ctx, _emit_family2, [_rows(u, xs, -u, pair, 0)], tal, boundary=True)
+    ax = np.abs(xs)
+    if fam == 1:
+        rows = _family1_rows(w, u, xs)
+        pair = _rows(-u, xs, u, w.contains_mask(ax, -4 * u * u), 0)  # (A, C) = (-A, A)
+    else:
+        rows = _family2_rows(w, u, xs)
+        pair = _rows(u, xs, -u, ((u & 1) == 0) & w.contains_mask(ax, -u * u) & (xs % 8 == 0), 0)
+    _emit_rows(ctx, _EMIT[fam], rows, tal)
+    _emit_rows(ctx, _EMIT[fam], [pair], tal, boundary=True)
+
+
+def _family1_rows(w: _Windows, a, xs):
+    """Row batches of the (A, x) pairs: each branch and sign of A with C from
+    |C| > A on, then the C = A ties (the singleton orbits)."""
+    ax = np.abs(xs)
+    step = 4 * a
+    for sign, lo_a, hi_a in _branches(w, ax):
+        first = np.maximum(_ceil_div(lo_a, step), a + 1)
+        count = hi_a // step - first + 1
+        for sA in (1, -1):
+            yield _rows(sA * a, xs, sA * sign * first, count, sA * sign)
+    tie = w.contains_mask(ax, step * a)
+    for sA in (1, -1):
+        yield _rows(sA * a, xs, sA * a, tie, 0)
+
+
+def _family1_vrows(ctx: _Ctx, a: np.ndarray) -> list[tuple]:
+    """v-side rows (A, first C, count, step) at outer values A: for each sign
+    of A, C of the same sign from C = A (the tie) while 4AC <= y_eff, then C
+    of the other sign from |C| > A while -4AC stays within the negative
+    window piece, whose widest reach is at x = 0."""
+    Y = ctx.y_eff[1]
+    N = min(Y, int(ctx.windows[1].neg_hi[0]))
+    rows = []
+    for sA in (1, -1):
+        rows.append((sA * a, sA * a, Y // (4 * a) - a + 1, sA))
+        rows.append((sA * a, -sA * (a + 1), N // (4 * a) - a, -sA))
+    return rows
+
+
+def _emit_family1(ctx, A, C, xi, tal, boundary=False):
+    y = 4 * A * C
+    _classify_and_tally(ctx, 1, A, xi, C, y, xi * xi - y, tal, boundary=boundary)
 
 
 def _family2_rows(w: _Windows, u, xs):
@@ -669,11 +684,16 @@ def _emit_family3(ctx, u_v, v, xi, tal, boundary=False):
     _classify_and_tally(ctx, 3, A, B, C, y, wq, tal, boundary=boundary)
 
 
+#: per family: the v-side rows at a block's outer values, and the map from
+#: (u_v, v, x) to the candidate coordinates
+_VROWS = {1: _family1_vrows, 2: _family2_vrows, 3: _family3_vrows}
+_EMIT = {1: _emit_family1, 2: _emit_family2, 3: _emit_family3}
+
+
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
     """The number of (u_v, v) pairs the v side enumerates at each outer
-    value u (the family-2 boundary pair left out)."""
-    rows = _family2_vrows(ctx, u) if fam == 2 else _family3_vrows(ctx, u)
-    return sum(np.maximum(count, 0) for _, _, count, _ in rows)
+    value u (the boundary pairs left out)."""
+    return sum(np.maximum(count, 0) for _, _, count, _ in _VROWS[fam](ctx, u))
 
 
 def _emit_vside(ctx, fam, vrows, tal, boundary=False):
@@ -684,7 +704,7 @@ def _emit_vside(ctx, fam, vrows, tal, boundary=False):
     pieces = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
     live = (_live_pairs(ctx, fam, u_v[r], v) for r, v in pieces)
     batches = _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0]))
-    emit = _emit_family2 if fam == 2 else _emit_family3
+    emit = _EMIT[fam]
 
     def emit_x_rows(ctx, u_v, xi, v, tal, boundary):  # the rows range over x
         emit(ctx, u_v, v, xi, tal, boundary)
@@ -694,6 +714,8 @@ def _emit_vside(ctx, fam, vrows, tal, boundary=False):
 
 
 def _pair_y(fam, u_v, v):
+    if fam == 1:
+        return 4 * u_v * v
     return u_v * v if fam == 2 else u_v * u_v + v * v
 
 
@@ -716,11 +738,14 @@ def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
 
 def _band_rows(ctx: _Ctx, fam: int, u_v, v):
     """Row batches of x at each (u_v, v) pair: x = the family's residue mod
-    8, x^2 != y, and |x^2 - y| <= s, the widest gap the bound M allows at
-    |y| (s = M // |y| by conductor, isqrt(M // |y|) by discriminant; exact,
-    as x^2 - y is an integer)."""
+    8 (any x for family 1), x^2 != y, and |x^2 - y| <= s, the widest gap the
+    bound M allows at |y| (s = M // |y| by conductor, isqrt(M // |y|) by
+    discriminant; exact, as x^2 - y is an integer)."""
     y = _pair_y(fam, u_v, v)
-    if fam == 2:
+    step = 8
+    if fam == 1:
+        res, step = 0, 1
+    elif fam == 2:
         res = -((u_v + v) >> 1) & 7  # u + v + 2x = 0 mod 16
     else:
         res = -u_v & 7  # x = -u mod 8
@@ -734,10 +759,10 @@ def _band_rows(ctx: _Ctx, fam: int, u_v, v):
     root = vec_isqrt(np.maximum(y, 0))
     cut = np.where((y > 0) & (root * root == y), root, hi + 1)
     for a, b in ((lo, cut - 1), (cut + 1, hi)):
-        first = a + ((res - a) & 7)
-        yield _rows(u_v, v, first, ((b - first) >> 3) + 1, 8)
-        first = -b + ((res + b) & 7)  # negative x, from -b up to -max(a, 1)
-        yield _rows(u_v, v, first, ((-np.maximum(a, 1) - first) >> 3) + 1, 8)
+        first = a + ((res - a) & (step - 1))
+        yield _rows(u_v, v, first, (b - first) // step + 1, step)
+        first = -b + ((res + b) & (step - 1))  # negative x, from -b up to -max(a, 1)
+        yield _rows(u_v, v, first, (-np.maximum(a, 1) - first) // step + 1, step)
 
 
 def _ragged_pieces(start, count, step, cap):
@@ -795,15 +820,11 @@ def _emit_rows(ctx, emit, batches, tal, boundary=False):
 
 
 def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
-    """Run units into tal: family 1 one A at a time, families 2 and 3 in
-    blocks of consecutive outer values u."""
+    """Run units into tal, each family in blocks of consecutive outer
+    values."""
     for fam in ctx.config.families:
         outers = [outer for f, outer in units if f == fam]
-        if fam == 1:
-            for A in outers:
-                _family1_unit(ctx, A, tal)
-            continue
-        unit = _family2_unit if fam == 2 else _family3_unit
+        unit = (_family1_unit, _family2_unit, _family3_unit)[fam - 1]
         for block in _blocks(ctx, fam, outers):
             unit(ctx, block, tal)
     return tal
@@ -814,8 +835,8 @@ def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
     BLOCK_XSCAN: its v pairs for a u on the v side, 2*xmax+1 on the x side."""
     u = np.asarray(outers, dtype=np.int64)
     size = _v_pairs(ctx, fam, u)
-    if fam == 2:
-        size = np.where(_family2_vside(ctx, outers), size, 2 * ctx.windows[2].xmax + 1)
+    if fam != 3:
+        size = np.where(_vside(ctx, fam, outers), size, 2 * ctx.windows[fam].xmax + 1)
     block, n = [], 0
     for outer, k in zip(outers, size.tolist()):
         block.append(outer)

@@ -17,6 +17,7 @@ from .forms import (
     coords_orbit,
     disc_quartic,
     from_form,
+    hessian_seminvariants,
     m_matrix,
     act_quadratic,
     to_form,
@@ -137,20 +138,6 @@ def galois_tag_form(F: BinQuartForm) -> GaloisTag:
     return galois_tag(from_form(F, min(fams)))
 
 
-def hessian_seminvariants(F: BinQuartForm) -> tuple[int, int]:
-    """(H, S) sign invariants controlling the number of real roots."""
-    a4, a3, a2, a1, a0 = F.coeffs()
-    H = 8 * a4 * a2 - 3 * a3 * a3
-    S = (
-        3 * a3**4
-        - 16 * a4 * a3**2 * a2
-        + 16 * a4**2 * a2**2
-        + 16 * a4**2 * a3 * a1
-        - 64 * a4**3 * a0
-    )
-    return H, S
-
-
 def real_signature(F: BinQuartForm) -> RealSignature:
     """Number of conjugate root pairs via the disc/H/S sign table."""
     d = disc_quartic(F)
@@ -158,7 +145,7 @@ def real_signature(F: BinQuartForm) -> RealSignature:
         raise ValueError("form has zero discriminant")
     if d < 0:
         return RealSignature(1)
-    H, S = hessian_seminvariants(F)
+    H, S = hessian_seminvariants(*F.coeffs())
     if S > 0 and H < 0:
         return RealSignature(0)
     return RealSignature(2)

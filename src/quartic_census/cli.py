@@ -67,12 +67,18 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    with open(path) as fh:
-        for line in fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        _usage_error(f"cannot read config file {path!r}: {exc.strerror}")
+    with fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, eq, val = line.partition("=")
+            if not eq:
+                _usage_error(f"config file {path!r} line {n}: expected key=value, got {line!r}")
             out[key.strip()] = val.strip()
     return out
 
@@ -433,6 +439,8 @@ def main(argv=None) -> int:
         name: _resolve(name, getattr(args, name, None), cfg_file)
         for name in _GLOBAL_DEFAULTS
     }
+    if globals_["format"] not in ("csv", "json"):
+        _usage_error(f"format must be csv or json, got {globals_['format']!r}")
     t0 = time.time()
     payload = args.fn(args, globals_)
     wall = time.time() - t0

@@ -188,6 +188,20 @@ def disc_quartic(F: BinQuartForm) -> int:
     return num // 27
 
 
+def hessian_seminvariants(a4, a3, a2, a1, a0):
+    """(H, S) sign invariants controlling the number of real roots, of
+    integer coefficients or coefficient-wise of int64 arrays."""
+    H = 8 * a4 * a2 - 3 * a3 * a3
+    S = (
+        3 * a3**4
+        - 16 * a4 * a3**2 * a2
+        + 16 * a4**2 * a2**2
+        + 16 * a4**2 * a3 * a1
+        - 64 * a4**3 * a0
+    )
+    return H, S
+
+
 def substitute_quartic(F: BinQuartForm, T: GL2Mat) -> tuple[int, int, int, int, int]:
     """Coefficients of F(t1 x + t2 y, t3 x + t4 y) without the det normalization."""
     t1, t2, t3, t4 = T.t1, T.t2, T.t3, T.t4

@@ -13,12 +13,21 @@ from quartic_census.arith import (
     odd_part,
     prime_divisors,
     primes_upto,
-    squarefree_sieve,
     vec_is_square,
     vec_isqrt,
 )
 
 rng = random.Random(9)
+
+
+def squarefree_sieve(limit: int) -> np.ndarray:
+    """Boolean array sf with sf[n] == True iff 1 <= n <= limit is squarefree:
+    the unpacked reference for PackedSquarefree."""
+    sf = np.ones(limit + 1, dtype=bool)
+    sf[0] = False
+    for p in primes_upto(isqrt(limit)):
+        sf[p * p :: p * p] = False
+    return sf
 
 
 def test_is_square():

@@ -191,6 +191,19 @@ def test_boundary_records_canonical():
             assert canonical_coords(c) == (c, True), row
 
 
+def _force_side(monkeypatch, fam, vside):
+    """Send every outer value of family fam to one side, the x-scan or the
+    (u, v) pivot; the other families keep their own choice."""
+    import numpy as np
+
+    from quartic_census import census
+
+    real = census._vside
+    monkeypatch.setattr(
+        census, "_vside", lambda ctx, f, us: np.full(len(us), vside) if f == fam else real(ctx, f, us)
+    )
+
+
 @pytest.mark.parametrize("size", [1, 10**9])
 def test_block_and_chunk_edges(monkeypatch, size):
     # one outer value per block, one (u, v) pair per v-side piece and one
@@ -201,32 +214,30 @@ def test_block_and_chunk_edges(monkeypatch, size):
     monkeypatch.setattr(census, "BLOCK_XSCAN", size)
     monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
     for mode, pinned in PINNED_HASH_2E4.items():
-        # family 2 runs on both sides here, so the (u, v) rows of the v side
+        # families 1 and 2 run on both sides here, so the pairs of the v side
         # are split into one-pair pieces or merged into one block as well
         ctx = census._Ctx(CensusConfig(x=20000, mode=mode))
-        vside = census._family2_vside(ctx, [u for f, u in ctx.units() if f == 2])
-        assert vside.any() and not vside.all(), mode
+        for fam in (1, 2):
+            vside = census._vside(ctx, fam, [u for f, u in ctx.units() if f == fam])
+            assert vside.any() and not vside.all(), (mode, fam)
         assert _hash_2e4(mode) == pinned, mode
 
 
-@pytest.mark.parametrize("side", ["x", "v"])
-def test_family2_side_forced(monkeypatch, side):
-    # every family-2 outer value from one side, the x-scan or the (u, v)
-    # pivot: the per-u choice of side cannot change any output
-    import numpy as np
-
-    from quartic_census import census
-
-    monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), side == "v"))
+@pytest.mark.parametrize("fam,side", [(1, "x"), (1, "v"), (2, "x"), (2, "v")])
+def test_family_side_forced(monkeypatch, fam, side):
+    # every outer value of family 1 or 2 from one side, the x-scan or the
+    # pairs of the pivot: the per-value choice of side cannot change any output
+    _force_side(monkeypatch, fam, side == "v")
     for mode, pinned in PINNED_HASH_2E4.items():
         assert _hash_2e4(mode) == pinned, mode
     cfg, tal = _run_emit(10**5, "conductor", shards=2)
     assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
 
 
-def test_family2_sides_make_the_same_candidates(monkeypatch):
+@pytest.mark.parametrize("fam", [1, 2])
+def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     # stronger than the hashes, which see only accepted records: the x-scan
-    # and the (u, v) pivot pass the same candidates, boundary flags and
+    # and the pivot pass the same candidates, boundary flags and
     # multiplicities included, to the filter
     import numpy as np
 
@@ -235,12 +246,12 @@ def test_family2_sides_make_the_same_candidates(monkeypatch):
     def candidates(mode, vside):
         seen = []
 
-        def record(ctx, fam, A, B, C, y, w, tal, boundary=False):
+        def record(ctx, f, A, B, C, y, w, tal, boundary=False):
             seen.append(np.stack([A, B, C, y, w, np.full(len(A), boundary)], axis=1))
 
-        monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), vside))
+        _force_side(monkeypatch, fam, vside)
         monkeypatch.setattr(census, "_classify_and_tally", record)
-        run_census(CensusConfig(x=20000, mode=mode, families=(2,)))
+        run_census(CensusConfig(x=20000, mode=mode, families=(fam,)))
         rows = np.concatenate(seen)
         return rows[np.lexsort(rows.T[::-1])]
 
@@ -249,51 +260,67 @@ def test_family2_sides_make_the_same_candidates(monkeypatch):
         assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
 
 
-def _pivot_bounds(X, mode):
-    """Python-int bounds on the (u, v) pivot's intermediates for families 2
-    and 3 at X, from the bound M and y_eff = M // 4^e."""
+def _pivot_bounds(X, mode, fam):
+    """Python-int bounds on the pivot's intermediates for family fam at X,
+    from the bound M and y_eff: M // 4^e for families 2 and 3, M itself for
+    family 1, whose pairs y = 4AC have |y| <= |y (x^2 - y)^e| <= M."""
     e = 1 if mode == "conductor" else 2
-    M = 4**e * X - 1
-    Y = M // 4**e  # |u v| and u^2 + v^2 are at most Y; |u| <= isqrt(Y)
+    if fam == 1:
+        M = (X - 1) // 4
+        Y = M
+    else:
+        M = 4**e * X - 1
+        Y = M // 4**e  # |u v| and u^2 + v^2 are at most Y; |u| <= isqrt(Y)
     r = isqrt(Y)
     d = max(2 * r + 1, isqrt(M) + 1)  # distance to the nearest square, capped
-    return {
+    bounds = {
         "M // |y|": M,
         "y + s": Y + M,
         "|y - s|": Y + M,
         "x^2": isqrt(Y + M) ** 2,
-        "|u v|": Y,
-        "u^2 + v^2": Y,
-        "|u + v + 2x|": r + Y + 2 * isqrt(Y + M),
         "(root + 1)^2": (r + 1) ** 2,
         "d^e |y|": d**e * Y,
         "|x^2 - y|": 2 * Y + M,
     }
+    if fam == 1:
+        # y < 0 needs |y|^(1+e) <= M, the reach at x = 0
+        reach = isqrt(M) if e == 1 else max(t for t in range(int(M ** (1 / 3)) + 2) if t**3 <= M)
+        bounds.update({"|4 A C|": Y, "negative reach": reach})
+    else:
+        bounds.update({"|u v|": Y, "u^2 + v^2": Y, "|u + v + 2x|": r + Y + 2 * isqrt(Y + M)})
+    return bounds
 
 
 def test_pivot_int64_envelope(monkeypatch):
     # at the caps every bound stays below 2^62, where vec_isqrt is exact
-    import numpy as np
-
     from quartic_census import census
 
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
-        for name, bound in _pivot_bounds(X, mode).items():
-            assert bound < 2**62, (mode, name, bound)
+        for fam in (1, 2):
+            for name, bound in _pivot_bounds(X, mode, fam).items():
+                assert bound < 2**62, (mode, fam, name, bound)
+        # the family-1 window table at the cap stays within its pair bounds
+        fam1 = _pivot_bounds(X, mode, 1)
+        w = census._Windows((X - 1) // 4, mode == "discriminant")
+        assert w.max_abs_y <= fam1["|4 A C|"], mode
+        assert w.neg_hi[0] == fam1["negative reach"], mode
     # and the bounds hold in a run: the largest square-root argument of a
-    # census with every family-2 u on the v side is within its bound
+    # census with every family-1 and family-2 outer value on the v side is
+    # within its bound
     real_isqrt, seen = census.vec_isqrt, []
 
     def recording_isqrt(n):
         seen.append(int(n.max(initial=0)))
         return real_isqrt(n)
 
-    monkeypatch.setattr(census, "_family2_vside", lambda ctx, us: np.full(len(us), True))
+    _force_side(monkeypatch, 1, True)
+    _force_side(monkeypatch, 2, True)
     monkeypatch.setattr(census, "vec_isqrt", recording_isqrt)
     for mode in ("conductor", "discriminant"):
-        seen.clear()
-        run_census(CensusConfig(x=20000, mode=mode, families=(2, 3)))
-        assert 0 < max(seen) <= _pivot_bounds(20000, mode)["y + s"], mode
+        for fam, fams in ((1, (1,)), (2, (2, 3))):
+            seen.clear()
+            run_census(CensusConfig(x=20000, mode=mode, families=fams))
+            assert 0 < max(seen) <= _pivot_bounds(20000, mode, fam)["y + s"], (mode, fam)
 
 
 def test_v4_dual_route():

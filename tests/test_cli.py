@@ -89,9 +89,24 @@ def test_validate_rejects_empty_box(capsys, argv):
         ["densities", "--primes", "4"],
         ["densities", "--primes", "2,a"],
         ["constants", "--which", "carefree", "--prime-limit", "0"],
+        [{"config": None}, "family", "1,0,0,0,1"],
+        [{"config": "shards\n"}, "family", "1,0,0,0,1"],
+        [{"config": "format=xml\n"}, "family", "1,0,0,0,1"],
+        [{"env": {"QC_FORMAT": "xml"}}, "family", "1,0,0,0,1"],
     ],
 )
-def test_bad_input_is_one_line(capsys, argv):
+def test_bad_input_is_one_line(capsys, tmp_path, monkeypatch, argv):
+    # a leading dict sets bad global settings: "config", the text of a config
+    # file (None: a path with no file), or "env", environment variables
+    if isinstance(argv[0], dict):
+        settings, argv = argv[0], argv[1:]
+        if "config" in settings:
+            path = tmp_path / "qc.conf"
+            if settings["config"] is not None:
+                path.write_text(settings["config"])
+            argv = ["--config", str(path), *argv]
+        for name, value in settings.get("env", {}).items():
+            monkeypatch.setenv(name, value)
     assert_one_line_error(capsys, argv)
 
 
