@@ -7,13 +7,16 @@ Enumeration strategy per family: substitute (u, v, x) with y built from
 (discriminant).  The outer loop runs over the small cofactor (A or u).  The
 other two coordinates are enumerated from one of two sides:
 
-* the x side: a numpy x-array, with the cofactor ranges read from exact
-  integer window endpoints computed once per |x| (families 1 and 2 at small
-  A or u, where the band of x around each y is wide);
+* the x side: a numpy x-array, with the cofactor ranges read from a table
+  of exact window endpoints per |x| (families 1 and 2 at small A or u,
+  where the band of x around each y is wide);
 * the v side: (u, v) pairs, (A, C) for family 1, with the x of each pair
-  solved from the exact band |x^2 - y| <= s, s = M // |y| or
-  isqrt(M // |y|) (family 3, and families 1 and 2 at the outer values where
-  their pairs cost less than their x-scan; see X_PAIR_COST).
+  solved from the band (family 3, and families 1 and 2 at the outer values
+  where their pairs cost less than their x-scan; see X_PAIR_COST).
+
+Both sides test one exact integer band, |x^2 - y| <= _gap(|y|): the v side
+solves it for x, and the table bisects on it for its window endpoints at
+all |x| at once.
 
 Every family runs in blocks of consecutive outer values that close once
 their scan reaches BLOCK_XSCAN; a block turns its pairs into rows of stepped
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from math import isqrt
 
@@ -146,152 +148,66 @@ class Tallies:
 # exact integer window endpoints
 
 
-def product_windows(x2: int, bound: int) -> list[tuple[int, int]]:
-    """Integer intervals of y with y != 0, y != x2 and |y(x2-y)| <= bound."""
-    return _windows(x2, bound, False)
+def _gap(bound: int, square: bool, ay):
+    """The widest |x^2 - y| the bound M allows at |y| = ay >= 1: M // |y| by
+    conductor, isqrt(M // |y|) by discriminant (exact, as x^2 - y is an
+    integer)."""
+    s = bound // ay
+    return vec_isqrt(s) if square else s
 
 
-def disc_windows(x2: int, bound: int) -> list[tuple[int, int]]:
-    """Integer intervals of y with y != 0, y != x2 and |y(x2-y)^2| <= bound."""
-    return _windows(x2, bound, True)
-
-
-def _windows(x2: int, bound: int, square: bool) -> list[tuple[int, int]]:
-    if bound < 1:
-        return []
-    e = 2 if square else 1
-
-    def ok(y: int) -> bool:
-        return y != 0 and y != x2 and abs(y) * abs(x2 - y) ** e <= bound
-
-    out = []
-    if ok(-1):
-        t = _grow(lambda v: ok(-v), _approx_neg(x2, bound, e))
-        if t >= 1:
-            out.append((-t, -1))
-    peak_y = max(x2 // (e + 1), 1)
-    peak = peak_y * (x2 - peak_y) ** e
-    if x2 <= 1 or peak <= bound:
-        if ok(1) or ok(2):
-            hi = _grow(ok, _approx_outer(x2, bound, e))
-            if hi >= 1:
-                out.extend(_split_at(1, hi, x2))
-    else:
-        if ok(1):
-            r1 = _grow(ok, _approx_inner(x2, bound, e))
-            if r1 >= 1:
-                out.append((1, r1))
-        else:
-            r1 = 0
-        # the run straddling x^2 is nonempty iff one of its endpoints is
-        if ok(x2 - 1) or ok(x2 + 1):
-            lo2 = _search_down(ok, x2, r1)
-            hi2 = _grow(ok, _approx_outer(x2, bound, e)) if ok(x2 + 1) else x2 - 1
-            if lo2 is not None and hi2 >= lo2:
-                out.extend(_split_at(lo2, hi2, x2))
-    return out
-
-
-def _split_at(lo: int, hi: int, x2: int) -> list[tuple[int, int]]:
-    if lo <= x2 <= hi:
-        parts = []
-        if x2 > lo:
-            parts.append((lo, x2 - 1))
-        if x2 + 1 <= hi:
-            parts.append((x2 + 1, hi))
-        return parts
-    return [(lo, hi)]
-
-
-def _grow(ok, seed: int) -> int:
-    t = max(seed, 0)
-    while ok(t + 1):
-        t += 1
-    while t >= 1 and not ok(t):
-        t -= 1
-    return t
-
-
-def _search_down(ok, x2: int, floor: int):
-    """Smallest y > floor with ok(y), walking down from x2-1 where the
-    condition region around x2 is an interval."""
-    t = x2 - 1
-    if t <= floor or not ok(t):
-        # nothing between the inner run and x2 on this side; the straddling
-        # interval may still start at x2+1, handled by the caller via _grow
-        return x2 + 1 if ok(x2 + 1) else None
-    # binary search for the left edge of the straddling interval
-    lo, hi = floor + 1, t
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _approx_neg(x2: int, bound: int, e: int) -> int:
-    if e == 1:
-        return (isqrt(x2 * x2 + 4 * bound) - x2) // 2
-    t = max(int(bound ** (1.0 / 3.0)), 1)
-    for _ in range(64):
-        nt = max(int(bound // max((x2 + t) ** 2, 1)), 1)
-        if abs(nt - t) <= 1:
-            break
-        t = (t + nt) // 2 or 1
-    return t
-
-
-def _approx_outer(x2: int, bound: int, e: int) -> int:
-    if e == 1:
-        return (x2 + isqrt(x2 * x2 + 4 * bound)) // 2
-    t = x2 + max(int(bound ** (1.0 / 3.0)), 1)
-    for _ in range(64):
-        nt = x2 + max(int(math.isqrt(bound // max(t, 1))), 1)
-        if abs(nt - t) <= 1:
-            break
-        t = (t + nt) // 2
-    return t
-
-
-def _approx_inner(x2: int, bound: int, e: int) -> int:
-    if e == 1:
-        s = x2 * x2 - 4 * bound
-        return (x2 - isqrt(s)) // 2 if s >= 0 else x2 // 2
-    t = 1
-    for _ in range(64):
-        nt = max(int(bound // max((x2 - t) ** 2, 1)), 1)
-        if abs(nt - t) <= 1:
-            break
-        t = (t + nt) // 2 or 1
-    return min(t, x2 // 3)
+def _reach(ok, hi):
+    """Elementwise the largest t in [0, hi] with ok(t), for ok true up to some
+    t and false past it.  ok is probed within [0, hi] and must accept t = 0,
+    which counts as true whatever ok says."""
+    a, b = np.zeros_like(hi), hi + 1
+    while True:
+        live = b - a > 1
+        if not live.any():
+            return a
+        mid = (a + b) >> 1
+        good = ok(mid)
+        a = np.where(live & good, mid, a)
+        b = np.where(live & ~good, mid, b)
 
 
 class _Windows:
-    """Per-|x| exact window endpoints: one negative run and up to three
-    positive runs (the straddling run splits at y = x^2)."""
+    """Per-|x| exact window endpoints of the y with y != 0, y != x^2 and
+    |y (x^2 - y)^e| <= bound: one negative run (y from -neg_hi to -1) and
+    three positive runs [pos_lo[k], pos_hi[k]], empty as lo = 1 > hi = 0.
+
+    Each run is monotone in its distance t from where it starts, so its far
+    end comes from one vectorised bisection over all |x| on the test
+    |x^2 - y| <= _gap(|y|): y = -t; y = t up to the peak of y (x^2 - y)^e at
+    x^2 // (e+1); y = x^2 - t down to past that peak; y = x^2 + t."""
 
     def __init__(self, bound: int, square: bool):
         self.bound = bound
-        self.square = square
-        # beyond xmax every piece is empty: the cheapest admissible point is
-        # y = x^2 - 1 with value x^2 - 1 for either exponent
+        # beyond xmax every run is empty: the cheapest admissible point is
+        # y = x^2 - 1 with value x^2 - 1 for either exponent; row xmax + 1
+        # is built as well to check that
         xmax = isqrt(bound + 1)
-        assert _windows((xmax + 1) ** 2, bound, square) == []
+        x2 = np.arange(xmax + 2, dtype=np.int64) ** 2
+        peak = x2 // (3 if square else 2)
+
+        def ok(y):
+            return np.abs(x2 - y) <= _gap(bound, square, np.maximum(np.abs(y), 1))
+
+        # the far ends: y = -t needs t^(1+e) <= bound, and y = x^2 + t needs
+        # t <= bound // y <= bound // max(x^2, 1)
+        neg = _reach(lambda t: ok(-t), np.full_like(x2, isqrt(bound)))
+        inner = _reach(ok, peak)
+        outer = _reach(lambda t: ok(x2 - t), np.maximum(x2 - peak - 1, 0))
+        right = _reach(lambda t: ok(x2 + t), bound // np.maximum(x2, 1))
+        lo = np.stack([np.ones_like(x2), x2 - outer, x2 + 1])
+        hi = np.stack([inner, x2 - 1, x2 + right])
+        empty = np.stack([inner, outer, right]) == 0
+        lo[empty], hi[empty] = 1, 0
+        assert neg[-1] == 0 and empty[:, -1].all()
         self.xmax = xmax
-        n = xmax + 1
-        self.neg_hi = np.zeros(n, dtype=np.int64)
-        self.pos_lo = np.ones((3, n), dtype=np.int64)
-        self.pos_hi = np.zeros((3, n), dtype=np.int64)
-        for x in range(n):
-            k = 0
-            for lo, hi in _windows(x * x, bound, square):
-                if hi < 0:
-                    self.neg_hi[x] = -lo
-                else:
-                    self.pos_lo[k, x], self.pos_hi[k, x] = lo, hi
-                    k += 1
+        self.neg_hi = neg[:-1]
+        self.pos_lo = lo[:, :-1].copy()
+        self.pos_hi = hi[:, :-1].copy()
         self.max_abs_y = int(max(self.neg_hi.max(initial=0), self.pos_hi.max(initial=0)))
 
     def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
@@ -527,21 +443,19 @@ def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
     return xs
 
 
-def _family1_unit(ctx: _Ctx, As: list[int], tal: Tallies):
-    """One block of family-1 outer values A, each from the side that _vside
-    picks for it."""
-    _two_sided_unit(ctx, 1, As, tal)
+def _family1_unit(ctx: _Ctx, A: np.ndarray, vside: np.ndarray, tal: Tallies):
+    """One block of family-1 outer values A, each from the side (v side
+    where vside) that _blocks picked for it."""
+    _two_sided_unit(ctx, 1, A, vside, tal)
 
 
-def _family2_unit(ctx: _Ctx, us: list[int], tal: Tallies):
-    """One block of family-2 outer values u, each from the side that _vside
-    picks for it."""
-    _two_sided_unit(ctx, 2, us, tal)
+def _family2_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+    """One block of family-2 outer values u, each from the side (v side
+    where vside) that _blocks picked for it."""
+    _two_sided_unit(ctx, 2, u, vside, tal)
 
 
-def _two_sided_unit(ctx: _Ctx, fam: int, us: list[int], tal: Tallies):
-    vside = _vside(ctx, fam, us)
-    u = np.asarray(us, dtype=np.int64)
+def _two_sided_unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
     if not vside.all():
         _xside(ctx, fam, u[~vside], tal)
     if vside.any():
@@ -662,8 +576,9 @@ def _emit_family2(ctx, u_v, v_v, xi, tal, boundary=False):
     _classify_and_tally(ctx, 2, A, B, C, y, wq, tal, boundary=boundary)
 
 
-def _family3_unit(ctx: _Ctx, us: list[int], tal: Tallies):
-    _emit_vside(ctx, 3, _family3_vrows(ctx, np.asarray(us, dtype=np.int64)), tal)
+def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+    """One block of family-3 outer values u >= 0, all from the v side."""
+    _emit_vside(ctx, 3, _family3_vrows(ctx, u), tal)
 
 
 def _family3_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
@@ -738,9 +653,7 @@ def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
 
 def _band_rows(ctx: _Ctx, fam: int, u_v, v):
     """Row batches of x at each (u_v, v) pair: x = the family's residue mod
-    8 (any x for family 1), x^2 != y, and |x^2 - y| <= s, the widest gap the
-    bound M allows at |y| (s = M // |y| by conductor, isqrt(M // |y|) by
-    discriminant; exact, as x^2 - y is an integer)."""
+    8 (any x for family 1), x^2 != y, and |x^2 - y| <= s = _gap(|y|)."""
     y = _pair_y(fam, u_v, v)
     step = 8
     if fam == 1:
@@ -749,9 +662,7 @@ def _band_rows(ctx: _Ctx, fam: int, u_v, v):
         res = -((u_v + v) >> 1) & 7  # u + v + 2x = 0 mod 16
     else:
         res = -u_v & 7  # x = -u mod 8
-    s = ctx.bounds[fam] // np.abs(y)
-    if ctx.square:
-        s = vec_isqrt(s)
+    s = _gap(ctx.bounds[fam], ctx.square, np.abs(y))
     hi = vec_isqrt(y + s)
     bot = y - s
     lo = np.where(bot > 0, vec_isqrt(np.maximum(bot - 1, 0)) + 1, 0)  # ceil sqrt
@@ -825,27 +736,30 @@ def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
     for fam in ctx.config.families:
         outers = [outer for f, outer in units if f == fam]
         unit = (_family1_unit, _family2_unit, _family3_unit)[fam - 1]
-        for block in _blocks(ctx, fam, outers):
-            unit(ctx, block, tal)
+        for block, vside in _blocks(ctx, fam, outers):
+            unit(ctx, block, vside, tal)
     return tal
 
 
 def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
     """Consecutive outer values in blocks that close once their scan reaches
-    BLOCK_XSCAN: its v pairs for a u on the v side, 2*xmax+1 on the x side."""
+    BLOCK_XSCAN: its v pairs for a u on the v side, 2*xmax+1 on the x side.
+    Yields (outer values, v-side mask) array pairs; the side of every outer
+    value is picked here, once (family 3 has only the v side)."""
     u = np.asarray(outers, dtype=np.int64)
     size = _v_pairs(ctx, fam, u)
+    vside = np.ones(len(u), dtype=bool)
     if fam != 3:
-        size = np.where(_vside(ctx, fam, outers), size, 2 * ctx.windows[fam].xmax + 1)
-    block, n = [], 0
-    for outer, k in zip(outers, size.tolist()):
-        block.append(outer)
+        vside = _vside(ctx, fam, outers)
+        size = np.where(vside, size, 2 * ctx.windows[fam].xmax + 1)
+    start, n = 0, 0
+    for i, k in enumerate(size.tolist()):
         n += k
         if n >= BLOCK_XSCAN:
-            yield block
-            block, n = [], 0
-    if block:
-        yield block
+            yield u[start : i + 1], vside[start : i + 1]
+            start, n = i + 1, 0
+    if start < len(u):
+        yield u[start:], vside[start:]
 
 
 _FORK_CTX = None

@@ -332,11 +332,11 @@ def cmd_constants(args, globals_) -> dict:
         main_term,
         r2_proportions,
     )
-    from .densities import euler_product
+    from .densities import PRIME_LIMIT_MAX, euler_product
 
     which = args.which
-    if args.prime_limit < 2:
-        _usage_error(f"--prime-limit must be >= 2, got {args.prime_limit}")
+    if not 2 <= args.prime_limit <= PRIME_LIMIT_MAX:
+        _usage_error(f"--prime-limit must be within [2, {PRIME_LIMIT_MAX}], got {args.prime_limit}")
     if which == "carefree":
         v, t = euler_product("carefree", args.prime_limit)
         return {"which": which, "value": v, "tail_bound": t, "prime_limit": args.prime_limit}

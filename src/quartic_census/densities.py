@@ -12,6 +12,10 @@ import numpy as np
 from .arith import prime_divisors, primes_upto
 from .maximality import vec_is_maximal_at
 
+#: euler_product sieves the primes up to prime_limit: a 100 MB table at this
+#: cap.
+PRIME_LIMIT_MAX = 10**8
+
 
 @dataclass(frozen=True)
 class DensityTable:
@@ -130,6 +134,8 @@ def euler_product(kind: str, prime_limit: int) -> tuple[float, float]:
     """
     if kind not in _EULER_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if prime_limit > PRIME_LIMIT_MAX:
+        raise ValueError(f"prime_limit={prime_limit} exceeds the supported bound {PRIME_LIMIT_MAX}")
     term, k = _EULER_KINDS[kind]
     ps = primes_upto(prime_limit)
     if len(ps) == 0:

@@ -110,9 +110,6 @@ class GL2Mat:
     def det(self) -> int:
         return self.t1 * self.t4 - self.t2 * self.t3
 
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
-
     def __matmul__(self, other: "GL2Mat") -> "GL2Mat":
         return GL2Mat(
             self.t1 * other.t1 + self.t2 * other.t3,

@@ -10,9 +10,7 @@ from quartic_census.census import (
     count_d4_by_conductor,
     count_d4_by_disc,
     count_v4_by_disc,
-    disc_windows,
     output_hash,
-    product_windows,
     records_csv,
     run_census,
     summarize,
@@ -25,22 +23,40 @@ from quartic_census.resolvent import conductor_poly
 rng = random.Random(2)
 
 
+def _check_windows(bound, square, xlim):
+    """The window table at bound against a numpy brute force at every
+    |x| <= xlim, and past its xmax every window empty."""
+    import numpy as np
+
+    from quartic_census.census import _Windows
+
+    w = _Windows(bound, square)
+    e = 2 if square else 1
+    for x in range(max(xlim, w.xmax + 1) + 1):
+        x2 = x * x
+        # y > 0 has y (y - x^2)^e <= bound only within bound // x^2 of x^2,
+        # and y < 0 has |y|^(1+e) <= bound
+        y = np.arange(-isqrt(bound) - 2, x2 + bound // max(x2, 1) + 3, dtype=np.int64)
+        want = (y != 0) & (y != x2) & (np.abs(y) * np.abs(x2 - y) ** e <= bound)
+        if x > w.xmax:
+            assert not want.any(), (bound, e, x)
+            continue
+        got = (y < 0) & (-y <= w.neg_hi[x])
+        for k in range(3):
+            assert w.pos_lo[k, x] >= 1, (bound, e, x)
+            got |= (w.pos_lo[k, x] <= y) & (y <= w.pos_hi[k, x])
+        assert np.array_equal(got, want), (bound, e, x)
+
+
 def test_windows_exhaustive():
-    for fn, e in ((product_windows, 1), (disc_windows, 2)):
+    for square in (False, True):
         for bound in (1, 3, 17, 120, 801):
-            for x in range(0, 45):
-                x2 = x * x
-                got = set()
-                for lo, hi in fn(x2, bound):
-                    assert lo <= hi
-                    got.update(range(lo, hi + 1))
-                lim = 3 * bound + x2 + 8
-                want = {
-                    y
-                    for y in range(-lim, lim + 1)
-                    if y != 0 and y != x2 and abs(y) * abs(x2 - y) ** e <= bound
-                }
-                assert got == want, (e, bound, x)
+            _check_windows(bound, square, 44)
+        # larger bounds, where the peak of y (x^2 - y)^e sits far from both
+        # ends of the positive range
+        seeded = random.Random(8)
+        for _ in range(8):
+            _check_windows(seeded.randint(10**4, 3 * 10**5), square, 0)
 
 
 def _slow_census(X, mode, fams):
@@ -295,27 +311,37 @@ def test_pivot_int64_envelope(monkeypatch):
     # at the caps every bound stays below 2^62, where vec_isqrt is exact
     from quartic_census import census
 
-    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
-        for fam in (1, 2):
-            for name, bound in _pivot_bounds(X, mode, fam).items():
-                assert bound < 2**62, (mode, fam, name, bound)
-        # the family-1 window table at the cap stays within its pair bounds
-        fam1 = _pivot_bounds(X, mode, 1)
-        w = census._Windows((X - 1) // 4, mode == "discriminant")
-        assert w.max_abs_y <= fam1["|4 A C|"], mode
-        assert w.neg_hi[0] == fam1["negative reach"], mode
-    # and the bounds hold in a run: the largest square-root argument of a
-    # census with every family-1 and family-2 outer value on the v side is
-    # within its bound
     real_isqrt, seen = census.vec_isqrt, []
 
     def recording_isqrt(n):
         seen.append(int(n.max(initial=0)))
         return real_isqrt(n)
 
+    monkeypatch.setattr(census, "vec_isqrt", recording_isqrt)
+    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+        for fam in (1, 2):
+            for name, bound in _pivot_bounds(X, mode, fam).items():
+                assert bound < 2**62, (mode, fam, name, bound)
+        # the window tables at the cap: every admissible y has |x^2 - y| >= 1,
+        # so |y| <= M; the bisection probes y up to x^2 + M at x = xmax + 1
+        # and takes square roots of M // |y| <= M
+        e = 1 if mode == "conductor" else 2
+        tables = {}
+        for fam, M in ((1, (X - 1) // 4), (2, 4**e * X - 1)):
+            seen.clear()
+            w = tables[fam] = census._Windows(M, mode == "discriminant")
+            assert w.xmax**2 - 1 <= w.max_abs_y <= M, (mode, fam)
+            assert (w.xmax + 1) ** 2 + M < 2**62, (mode, fam)
+            assert max(seen, default=0) <= M < 2**62, (mode, fam)
+        # the family-1 table stays within its pair bounds
+        fam1 = _pivot_bounds(X, mode, 1)
+        assert tables[1].max_abs_y <= fam1["|4 A C|"], mode
+        assert tables[1].neg_hi[0] == fam1["negative reach"], mode
+    # and the bounds hold in a run: the largest square-root argument of a
+    # census with every family-1 and family-2 outer value on the v side is
+    # within its bound
     _force_side(monkeypatch, 1, True)
     _force_side(monkeypatch, 2, True)
-    monkeypatch.setattr(census, "vec_isqrt", recording_isqrt)
     for mode in ("conductor", "discriminant"):
         for fam, fams in ((1, (1,)), (2, (2, 3))):
             seen.clear()

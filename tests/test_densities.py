@@ -1,8 +1,11 @@
 import math
 import random
 
+import pytest
+
 from quartic_census.arith import is_squarefree
 from quartic_census.densities import (
+    PRIME_LIMIT_MAX,
     DensityTable,
     euler_product,
     rho1,
@@ -76,6 +79,9 @@ def test_euler_product():
     assert abs(v7 * math.pi**2 / 6 - 0.7044422) < 2e-6
     vv, tv = euler_product("v4", 10**6)
     assert 0.17 < vv < 0.19 and tv < 1e-5
+    # refused before the sieve is allocated
+    with pytest.raises(ValueError):
+        euler_product("carefree", PRIME_LIMIT_MAX + 1)
 
 
 def test_density_table_csv():
