@@ -243,9 +243,14 @@ def validate_box(box: int, pmax: int, flip_clause: bool = False) -> dict:
 
 
 def cmd_validate(args, globals_) -> dict:
+    from .densities import PRIME_LIMIT_MAX
+
     # an empty box or prime list would check nothing
     if args.box < 1 or args.pmax < 2:
         _usage_error(f"need --box >= 1 and --pmax >= 2, got {args.box} and {args.pmax}")
+    # the prime sieve takes pmax + 1 bytes
+    if args.pmax > PRIME_LIMIT_MAX:
+        _usage_error(f"--pmax must be at most {PRIME_LIMIT_MAX}, got {args.pmax}")
     return validate_box(args.box, args.pmax, args.flip_clause)
 
 

@@ -6,10 +6,13 @@ two is a theorem, not a construction.
 
 The test, for the order O with basis e0 = 1, e1, e2, e3 and a prime p:
 
-1. The nilradical of O/pO is the kernel of the F_p-linear map x -> x^(p^e)
-   with p^e >= 4 (a nilpotent element of a rank-4 algebra has x^4 = 0).  Its
-   lift R = pO + rad is the p-radical of O, and O is p-maximal exactly when
-   the multiplier ring {x : xR inside R} is O itself.
+1. The nilradical of O/pO is the kernel of the F_p-linear map x -> x^q with
+   q = p^e >= 4 (a nilpotent element of a rank-4 algebra has x^4 = 0).  The
+   matrix of that map has columns e_j^q, computed mod p, and column 0 is
+   1^q = e_0, so the kernel is zero exactly when the lower-right 3x3 block
+   has a nonzero determinant mod p.  The lift R = pO + rad of the kernel is
+   the p-radical of O, and O is p-maximal exactly when the multiplier ring
+   {x : xR inside R} is O itself.
 2. If the nilradical is zero, R = pO.  Then xR inside R means x*pO inside pO,
    i.e. x in O (as 1 is in O), so the multiplier ring is O and the answer is
    True without building R.
@@ -246,32 +249,51 @@ def _rref_kernel(rows, p, ncols):
 
 
 def _p_radical(o: QuarticOrderTable, p: int):
-    """Basis of the nilradical of O/pO as the kernel of x -> x^(p^e), p^e >= 4."""
-    e = 1
-    while p**e < 4:
-        e += 1
-    # Frobenius is F_p-linear, so its matrix has columns e_j^p (and 1^p = 1)
-    frob_cols = [(1, 0, 0, 0)] + [
-        _pow_mod(o, b, p, p) for b in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    ]
-    M = [[frob_cols[j][i] for j in range(4)] for i in range(4)]
-    R = M
-    for _ in range(e - 1):
-        R = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*R)] for row in M]
-    return _rref_kernel(R, p, 4)
+    """Basis of the nilradical of O/pO as the kernel of x -> x^q, q = p^e >= 4."""
+    q = p
+    while q < 4:
+        q *= p
+    # the six structure constants mod p: z1z1, z1z2, z1z3, z2z2, z2z3, z3z3
+    P = [[x % p for x in c] for c in o.products]
+    a0, a1, a2, a3 = P[0]
+    b0, b1, b2, b3 = P[1]
+    c0, c1, c2, c3 = P[2]
+    d0, d1, d2, d3 = P[3]
+    f0, f1, f2, f3 = P[4]
+    g0, g1, g2, g3 = P[5]
 
+    def mult(u, v):
+        u0, u1, u2, u3 = u
+        v0, v1, v2, v3 = v
+        m11 = u1 * v1
+        m12 = u1 * v2 + u2 * v1
+        m13 = u1 * v3 + u3 * v1
+        m22 = u2 * v2
+        m23 = u2 * v3 + u3 * v2
+        m33 = u3 * v3
+        return (
+            (u0 * v0 + m11 * a0 + m12 * b0 + m13 * c0 + m22 * d0 + m23 * f0 + m33 * g0) % p,
+            (u0 * v1 + u1 * v0 + m11 * a1 + m12 * b1 + m13 * c1 + m22 * d1 + m23 * f1 + m33 * g1) % p,
+            (u0 * v2 + u2 * v0 + m11 * a2 + m12 * b2 + m13 * c2 + m22 * d2 + m23 * f2 + m33 * g2) % p,
+            (u0 * v3 + u3 * v0 + m11 * a3 + m12 * b3 + m13 * c3 + m22 * d3 + m23 * f3 + m33 * g3) % p,
+        )
 
-def _pow_mod(o: QuarticOrderTable, v, n: int, p: int):
-    """v^n mod p, for n >= 1."""
-    b = [x % p for x in v]
-    r = None
-    while True:
-        if n & 1:
-            r = b if r is None else [x % p for x in o.mult(r, b)]
-        n >>= 1
-        if not n:
-            return r
-        b = [x % p for x in o.mult(b, b)]
+    # x -> x^q is F_p-linear, so its matrix has columns e_j^q (and 1^q = e_0);
+    # square-and-multiply starts from e_j^2, which is a structure constant
+    cols = []
+    for b, r in zip(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (P[0], P[3], P[5])):
+        for i, bit in enumerate(bin(q)[3:]):
+            if i:
+                r = mult(r, r)
+            if bit == "1":
+                r = mult(r, b)
+        cols.append(r)
+    (_, x1, x2, x3), (_, y1, y2, y3), (_, z1, z2, z3) = cols
+    # column 0 is e_0, so the kernel is zero iff the lower-right 3x3 block is
+    # invertible mod p
+    if (x1 * (y2 * z3 - y3 * z2) - y1 * (x2 * z3 - x3 * z2) + z1 * (x2 * y3 - x3 * y2)) % p:
+        return []
+    return _rref_kernel(list(zip((1, 0, 0, 0), *cols)), p, 4)
 
 
 def _hnf_rows(gens):

@@ -90,6 +90,7 @@ def test_validate_rejects_empty_box(capsys, argv):
         ["densities", "--primes", "2,a"],
         ["constants", "--which", "carefree", "--prime-limit", "0"],
         ["constants", "--which", "d4-leading", "--prime-limit", "1e12"],
+        ["validate", "--pmax", "1e12"],
         [{"config": None}, "family", "1,0,0,0,1"],
         [{"config": "shards\n"}, "family", "1,0,0,0,1"],
         [{"config": "format=xml\n"}, "family", "1,0,0,0,1"],
