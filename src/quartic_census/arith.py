@@ -203,14 +203,17 @@ class PackedSquarefree:
 def vec_isqrt(n: np.ndarray) -> np.ndarray:
     """Exact floor-sqrt on non-negative int64 arrays (float seed + correction).
 
-    Exact for 0 <= n < 2**62: the float seed is within 1 of the truth there,
-    and two correction rounds absorb the rounding slack.
+    Exact for 0 <= n < 2**62: there sqrt(n) < 2**31, and the conversion of
+    n to float and the float root each err by a relative 2**-53 at most, so
+    the float root is within 2**-21 of sqrt(n) and its integer part within
+    1 of isqrt(n), too high or too low.  One round, lowering r by 1 if r^2 > n
+    and then raising it by 1 if (r + 1)^2 <= n, fixes either; r + 1 <= 2**31
+    keeps both squares within int64.
     """
-    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    for _ in range(2):
-        r = np.where(r * r > n, r - 1, r)
-        r = np.where((r + 1) * (r + 1) <= n, r + 1, r)
-    return np.maximum(r, 0)
+    r = np.sqrt(n, dtype=np.float64).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
 
 
 def vec_is_square(n: np.ndarray) -> np.ndarray:

@@ -89,12 +89,16 @@ def test_primes_upto():
 
 
 def test_vec_isqrt_and_square():
-    vals = [0, 1, 2, 3, 4, 10**9, 2**61, 2**62 - 1]
-    vals += [rng.randint(0, 2**62 - 1) for _ in range(500)]
-    arr = np.array(vals, dtype=np.int64)
-    r = vec_isqrt(arr)
-    for v, s in zip(vals, r):
-        assert int(s) == isqrt(v)
+    big = (2**31 - 1) ** 2  # the largest square below 2^62
+    vals = [0, 1, 2, 3, 4, 10**9, 2**61, big - 1, big, big + 1, 2**62 - 1]
+    vals += [rng.randint(0, 2**62 - 1) for _ in range(100_000)]
+    # the float seed is off by one on either side of a square, so exactness
+    # there needs the correction round
+    ks = np.array([rng.randrange(2**31) for _ in range(100_000)], dtype=np.int64)
+    near = (ks * ks)[:, None] + np.arange(-2, 3)
+    vals += [n for n in near.ravel().tolist() if n >= 0]
+    r = vec_isqrt(np.array(vals, dtype=np.int64))
+    assert r.tolist() == [isqrt(v) for v in vals]
     sq = np.array([n * n for n in range(1, 40)] + [2, 3, 5, -9, -1], dtype=np.int64)
     got = vec_is_square(sq)
     assert got[:39].all() and not got[39:].any()
