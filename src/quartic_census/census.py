@@ -39,7 +39,9 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import PackedSquarefree, factorize, vec_is_square, vec_isqrt
+from .arith import PackedSquarefree, primes_upto, vec_is_square, vec_isqrt
+# factorize is unused here, but perfbench/tracer.py times census.factorize
+from .arith import factorize  # noqa: F401
 from .forms import BinQuartForm, FamilyCoords, disc_quartic, hessian_seminvariants
 from .maximality import vec_is_maximal_at
 
@@ -231,16 +233,12 @@ def _ragged(idx, starts, counts, step):
 
     Returns (gathered idx entries, values) as flat arrays."""
     counts = np.maximum(counts, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    nz = counts > 0
-    idx, starts, counts = idx[nz], starts[nz], counts[nz]
-    row = np.repeat(np.arange(len(counts)), counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    if np.ndim(step):
-        step = step[nz][row]
-    return idx[row], starts[row] + step * offs
+    # value j of range k sits at flat position base[k] + j, so it is
+    # starts[k] - step*base[k] + step*position; a zero count repeats nothing
+    base = np.cumsum(counts) - counts
+    step = np.broadcast_to(step, counts.shape)
+    pos = np.arange(int(counts.sum()), dtype=np.int64)
+    return np.repeat(idx, counts), np.repeat(starts - step * base, counts) + np.repeat(step, counts) * pos
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +270,7 @@ class _Ctx:
         lim = max(max(self.y_eff.values()), 16)
         # one packed table serves cofactors and quadratic-cover discriminants
         self.sf = PackedSquarefree(lim)
+        self.deep_primes = _cube_root_primes(self.y_eff.get(3, 0))
 
     def odd_sf(self, n: np.ndarray) -> np.ndarray:
         """Squarefree test of the odd part of |n| (entries must be nonzero)."""
@@ -398,17 +397,37 @@ def _fam3_deep_condition(ctx: _Ctx, y, A, B, C, pre_ok):
     out = pre_ok & plain
     tricky = np.flatnonzero(pre_ok & ~plain)
     if len(tricky):
-        g = np.gcd(np.abs(4 * A - C), np.abs(B))
-        for k in tricky:
-            out[k] = _deep_check(int(yo[k]), int(g[k]))
+        A, B, C = A[tricky], B[tricky], C[tricky]
+        out[tricky] = _deep_check(ctx, yo[tricky], np.gcd(np.abs(4 * A - C), np.abs(B)))
     return out
 
 
-def _deep_check(y_odd: int, g: int) -> bool:
-    for p, e in factorize(y_odd).items():
-        if e >= 2 and (g % p != 0 or e >= 3):
-            return False
-    return True
+def _cube_root_primes(Y: int) -> np.ndarray:
+    """The odd primes p with p^3 <= Y."""
+    p = primes_upto(int(Y ** (1 / 3)) + 1)
+    return p[(p > 2) & (p**3 <= Y)]
+
+
+def _deep_check(ctx: _Ctx, m, g):
+    """The depth condition at odd y = m <= y_eff[3], g = gcd(4A-C, B): no
+    odd p with p^2 | m unless p | g and p^3 does not divide m.
+
+    The primes with p^3 <= y_eff[3] are tested at every entry at once and
+    divided out, p^2 at most, which is all of p where the entry passes;
+    what is left there has at most two prime factors, so it is squarefree
+    or the square of a prime r, and r^3 > m leaves only r | g to test."""
+    i, j = np.nonzero(m[:, None] % ctx.deep_primes == 0)  # the p | m
+    p = ctx.deep_primes[j]
+    q = m[i] // p
+    twice = q % p == 0
+    ok = np.ones(len(m), dtype=bool)
+    ok[i[twice & ((g[i] % p != 0) | (q % (p * p) == 0))]] = False
+    div = np.ones_like(m)
+    np.multiply.at(div, i, np.where(twice, p * p, p))  # divides m
+    m = m // div
+    square = np.flatnonzero(ok & ~ctx.sf.lookup(m))
+    ok[square] = g[square] % vec_isqrt(m[square]) == 0
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -636,24 +655,25 @@ def _pair_y(fam, u_v, v):
 
 def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
     """The (u_v, v) pairs whose band |x^2 - y| <= s (see _band_rows) holds
-    a square: the square nearest y, at distance d, must lie in it, that is
-    d |y| <= M, or d^2 |y| <= M by discriminant.  For y < 0, d = |y| is
-    capped at isqrt(M) + 1, past which the test fails anyway, so d^2 |y|
-    stays within int64."""
+    a square, with isqrt(max(y, 0)) at each: the square nearest y, at
+    distance d, must lie in the band, that is d |y| <= M, or d^2 |y| <= M by
+    discriminant.  For y < 0, d = |y| is capped at isqrt(M) + 1, past which
+    the test fails anyway, so d^2 |y| stays within int64."""
     M = ctx.bounds[fam]
     y = _pair_y(fam, u_v, v)
     root = vec_isqrt(np.maximum(y, 0))
-    near = np.minimum(y - root * root, (root + 1) * (root + 1) - y)
-    d = np.where(y > 0, near, np.minimum(-y, isqrt(M) + 1))
+    below = y - root * root  # (root + 1)^2 - y = 2 root + 1 - below
+    d = np.where(y > 0, np.minimum(below, 2 * root + 1 - below), np.minimum(-y, isqrt(M) + 1))
     if ctx.square:
         d = d * d
     live = np.flatnonzero(d * np.abs(y) <= M)
-    return [u_v[live], v[live]]
+    return [u_v[live], v[live], root[live]]
 
 
-def _band_rows(ctx: _Ctx, fam: int, u_v, v):
-    """Row batches of x at each (u_v, v) pair: x = the family's residue mod
-    8 (any x for family 1), x^2 != y, and |x^2 - y| <= s = _gap(|y|)."""
+def _band_rows(ctx: _Ctx, fam: int, u_v, v, root):
+    """Row batches of x at each (u_v, v) pair, root = isqrt(max(y, 0)) from
+    _live_pairs: x = the family's residue mod 8 (any x for family 1),
+    x^2 != y, and |x^2 - y| <= s = _gap(|y|)."""
     y = _pair_y(fam, u_v, v)
     step = 8
     if fam == 1:
@@ -667,7 +687,6 @@ def _band_rows(ctx: _Ctx, fam: int, u_v, v):
     bot = y - s
     lo = np.where(bot > 0, vec_isqrt(np.maximum(bot - 1, 0)) + 1, 0)  # ceil sqrt
     # |x| runs over [lo, hi] less the root of a square y, where w = 0
-    root = vec_isqrt(np.maximum(y, 0))
     cut = np.where((y > 0) & (root * root == y), root, hi + 1)
     for a, b in ((lo, cut - 1), (cut + 1, hi)):
         first = a + ((res - a) & (step - 1))

@@ -276,6 +276,109 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
         assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
 
 
+def _ragged_reference(starts, counts, step):
+    steps = step if isinstance(step, list) else [step] * len(starts)
+    return [(k, s + t * j) for k, (s, c, t) in enumerate(zip(starts, counts, steps)) for j in range(c)]
+
+
+def test_ragged_expansion():
+    import numpy as np
+
+    from quartic_census.census import _ragged, _ragged_pieces
+
+    seeded = random.Random(11)
+    for trial in range(200):
+        n = seeded.randint(0, 12)
+        starts = [seeded.randint(-50, 50) for _ in range(n)]
+        counts = [seeded.randint(-3, 7) for _ in range(n)]  # zero and negative counts are empty
+        step = seeded.choice([seeded.randint(-16, 16), [seeded.randint(-16, 16) for _ in range(n)]])
+        want = _ragged_reference(starts, counts, step)
+        arr = lambda a: np.array(a, dtype=np.int64)  # noqa: E731
+        idx, vals = _ragged(arr(range(n)), arr(starts), arr(counts), arr(step))
+        assert list(zip(idx.tolist(), vals.tolist())) == want, trial
+        # pieces of one and three values split rows, and join to the whole
+        if isinstance(step, list):
+            nonneg = [max(c, 0) for c in counts]
+            for cap in (1, 3):
+                pieces = list(_ragged_pieces(arr(starts), arr(nonneg), arr(step), cap))
+                assert all(0 < len(v) <= cap for _, v in pieces), trial
+                got = [p for r, v in pieces for p in zip(r.tolist(), v.tolist())]
+                assert got == want, (trial, cap)
+
+
+def deep_check_reference(y_odd: int, g: int) -> bool:
+    """The family-3 depth condition by scalar factorisation: the reference
+    for census._deep_check."""
+    from quartic_census.arith import factorize
+
+    for p, e in factorize(y_odd).items():
+        if e >= 2 and (g % p != 0 or e >= 3):
+            return False
+    return True
+
+
+def test_deep_check_matches_reference(monkeypatch):
+    import numpy as np
+
+    from quartic_census import census
+
+    real, seen = census._deep_check, []
+
+    def recording(ctx, m, g):
+        out = real(ctx, m, g)
+        seen.append((m.copy(), g.copy(), out))
+        return out
+
+    monkeypatch.setattr(census, "_deep_check", recording)
+    for X, mode in ((10**5, "conductor"), (10**6, "discriminant")):
+        seen.clear()
+        run_census(CensusConfig(x=X, mode=mode, families=(3,)))
+        m, g, out = (np.concatenate(c) for c in zip(*seen))
+        assert len(m) > 1000 and out.any() and not out.all(), mode
+        assert out.tolist() == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())], mode
+    # constructed cases at conductor X = 1e5: y_eff[3] = 99,999, so the
+    # tested primes run up to 43 and 47^3 > y_eff[3]
+    ctx = census._Ctx(CensusConfig(x=10**5, families=(3,)))
+    Y = ctx.y_eff[3]
+    assert ctx.deep_primes[-1] == 43 and Y == ctx.sf.limit == 99_999
+    r = 313  # the largest prime with r^2 <= Y
+    cases = [
+        (9 * 5, 3, True),  # p^2 | y with p | g
+        (9 * 5, 5, False),  # ... and with p not dividing g
+        (27 * 7, 3, False),  # p^3 | y, p | g
+        (27 * 7, 0, False),
+        (53 * 53, 53, True),  # the square of a prime above the cube root
+        (53 * 53, 2 * 53 * 7, True),
+        (53 * 53, 1, False),
+        (53 * 53 * 9, 3 * 53, True),
+        (53 * 53 * 9, 53, False),
+        (53 * 59, 1, True),  # two primes above the cube root
+        (47 * 53 * 3, 1, True),
+        (43 * 43 * 47, 43, True),  # the largest tested prime
+        (43 * 43 * 47, 1, False),
+        (43**3, 43, False),
+        (Y, 3, True),  # y_odd at the limit of the table: 9 * 41 * 271
+        (Y, 1, False),
+        (r * r, r, True),
+        (r * r, 1, False),
+        (1, 1, True),
+    ]
+    m = np.array([c[0] for c in cases], dtype=np.int64)
+    g = np.array([c[1] for c in cases], dtype=np.int64)
+    got = real(ctx, m, g).tolist()
+    assert got == [c[2] for c in cases]
+    assert got == [deep_check_reference(a, b) for a, b, _ in cases]
+    # every odd y <= Y that is not squarefree, with g = 1, with g the
+    # product of y's primes and with a seeded g
+    seeded = random.Random(12)
+    m = np.arange(1, Y + 1, 2, dtype=np.int64)
+    m = m[~ctx.sf.lookup(m)]
+    rad = np.array([np.prod(list(census.factorize(a))) for a in m.tolist()], dtype=np.int64)
+    for g in (np.ones_like(m), rad, np.array([seeded.randint(0, 5000) for _ in m], dtype=np.int64)):
+        got = real(ctx, m, g).tolist()
+        assert got == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())]
+
+
 def _pivot_bounds(X, mode, fam):
     """Python-int bounds on the pivot's intermediates for family fam at X,
     from the bound M and y_eff: M // 4^e for families 2 and 3, M itself for
@@ -309,7 +412,10 @@ def _pivot_bounds(X, mode, fam):
 
 def test_pivot_int64_envelope(monkeypatch):
     # at the caps every bound stays below 2^62, where vec_isqrt is exact
+    from types import SimpleNamespace
+
     from quartic_census import census
+    from quartic_census.arith import is_prime
 
     real_isqrt, seen = census.vec_isqrt, []
 
@@ -337,6 +443,20 @@ def test_pivot_int64_envelope(monkeypatch):
         fam1 = _pivot_bounds(X, mode, 1)
         assert tables[1].max_abs_y <= fam1["|4 A C|"], mode
         assert tables[1].neg_hi[0] == fam1["negative reach"], mode
+    # the family-3 depth check at the caps (the squarefree table is not
+    # built): the tested primes are the odd p with p^3 <= y_eff[3], so a
+    # stripped y_odd is squarefree or the square of a prime r; m only
+    # shrinks from y_odd <= y_eff[3], within the table, and r^2 <= m
+    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+        with monkeypatch.context() as m:
+            m.setattr(census, "PackedSquarefree", lambda limit: SimpleNamespace(limit=limit))
+            ctx = census._Ctx(CensusConfig(x=X, mode=mode, families=(3,)))
+        Y, primes = ctx.y_eff[3], ctx.deep_primes.tolist()
+        p = primes[-1]
+        assert primes == [q for q in range(3, p + 1) if is_prime(q)], mode
+        assert next(q for q in range(p + 2, 2 * p) if is_prime(q)) ** 3 > Y, mode
+        assert p**3 <= Y == _pivot_bounds(X, mode, 2)["u^2 + v^2"] <= ctx.sf.limit, mode
+        assert isqrt(Y) ** 2 <= Y < 2**62, mode
     # and the bounds hold in a run: the largest square-root argument of a
     # census with every family-1 and family-2 outer value on the v side is
     # within its bound
