@@ -321,6 +321,7 @@ def test_deep_check_matches_reference(monkeypatch):
     import numpy as np
 
     from quartic_census import census
+    from quartic_census.arith import factorize
 
     real, seen = census._deep_check, []
 
@@ -373,7 +374,7 @@ def test_deep_check_matches_reference(monkeypatch):
     seeded = random.Random(12)
     m = np.arange(1, Y + 1, 2, dtype=np.int64)
     m = m[~ctx.sf.lookup(m)]
-    rad = np.array([np.prod(list(census.factorize(a))) for a in m.tolist()], dtype=np.int64)
+    rad = np.array([np.prod(list(factorize(a))) for a in m.tolist()], dtype=np.int64)
     for g in (np.ones_like(m), rad, np.array([seeded.randint(0, 5000) for _ in m], dtype=np.int64)):
         got = real(ctx, m, g).tolist()
         assert got == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())]
@@ -448,8 +449,8 @@ def test_pivot_int64_envelope(monkeypatch):
     # stripped y_odd is squarefree or the square of a prime r; m only
     # shrinks from y_odd <= y_eff[3], within the table, and r^2 <= m
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
-        with monkeypatch.context() as m:
-            m.setattr(census, "PackedSquarefree", lambda limit: SimpleNamespace(limit=limit))
+        with monkeypatch.context() as mp:
+            mp.setattr(census, "PackedSquarefree", lambda limit: SimpleNamespace(limit=limit))
             ctx = census._Ctx(CensusConfig(x=X, mode=mode, families=(3,)))
         Y, primes = ctx.y_eff[3], ctx.deep_primes.tolist()
         p = primes[-1]
