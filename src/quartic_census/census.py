@@ -96,8 +96,8 @@ class CensusConfig:
             raise ValueError(f"unsupported galois filter {self.galois!r}")
         if self.r2 not in (None, 0, 1, 2):
             raise ValueError("r2 filter must be None, 0, 1 or 2")
-        if any(f not in (1, 2, 3) for f in self.families):
-            raise ValueError("families must be within {1,2,3}")
+        if not self.families or any(f not in (1, 2, 3) for f in self.families):
+            raise ValueError("families must be a nonempty subset of {1,2,3}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         cap = X_MAX_CONDUCTOR if self.mode == "conductor" else X_MAX_DISC
@@ -212,6 +212,7 @@ class _Windows:
         self.pos_hi = hi[:, :-1].copy()
         self.max_abs_y = int(max(self.neg_hi.max(initial=0), self.pos_hi.max(initial=0)))
 
+    # unused by the engine; perfbench/tracer.py times contains_mask by name
     def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
         """Vectorized membership of y in the window at each |x|; y is one
         integer or one per |x|, all of one sign."""
@@ -291,13 +292,15 @@ class _Ctx:
         return out
 
 
-def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies, boundary=False):
+def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     """Maximality filter + Galois/r2 classification of candidate coordinate
     arrays, accumulated into the tallies.
 
     y is the cofactor product (4AC, uv, or u^2+v^2), w = B^2-4AC.  The odd
     primes are handled by squarefree-odd-part tests, p=2 by the clause set;
-    jointly these are exactly global maximality.
+    jointly these are exactly global maximality.  The boundary orbits are
+    the pairs C = -A (family 1) and v = -u, that is C = -4A (family 2); the
+    enumeration passes only their canonical member, A < 0 or B < 0.
     """
     if len(A) == 0:
         return
@@ -334,8 +337,8 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies, bounda
     keep = v4 if cfg.galois == "v4" else d4
     if cfg.galois == "d4":
         tal.excluded["v4"] += int(v4.sum())
-    if boundary:
-        tal.excluded["boundary_orbits"] += int(keep.sum())
+    if fam != 3:
+        tal.excluded["boundary_orbits"] += int((keep & (C == (-A if fam == 1 else -4 * A))).sum())
 
     r2v = _r2_vec(fam, A, B, C)
     if cfg.r2 is not None:
@@ -345,16 +348,8 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies, bounda
 
     if cfg.emit and keep.any():
         k = np.flatnonzero(keep)
-        A, B, C = A[k], B[k], C[k]
-        if boundary:
-            # the smaller of the pair's coordinate triples: (C, B, A) for
-            # family 1, (A, -B, C) for family 2
-            if fam == 1:
-                A, C = np.minimum(A, C), np.maximum(A, C)
-            else:
-                B = -np.abs(B)
         fams = np.full(len(k), fam, dtype=np.int64)
-        tal.blocks.append(np.stack([fams, A, B, C, disc[k], conductor[k], r2v[k]], axis=1))
+        tal.blocks.append(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
 
 
 def _r2_vec(fam, A, B, C):
@@ -462,27 +457,26 @@ def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
     return xs
 
 
+# perfbench/tracer.py times each family by these three names
 def _family1_unit(ctx: _Ctx, A: np.ndarray, vside: np.ndarray, tal: Tallies):
-    """One block of family-1 outer values A, each from the side (v side
-    where vside) that _blocks picked for it."""
-    _two_sided_unit(ctx, 1, A, vside, tal)
+    _unit(ctx, 1, A, vside, tal)
 
 
 def _family2_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
-    """One block of family-2 outer values u, each from the side (v side
+    _unit(ctx, 2, u, vside, tal)
+
+
+def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+    _unit(ctx, 3, u, vside, tal)
+
+
+def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+    """One block of outer values u of family fam, each from the side (v side
     where vside) that _blocks picked for it."""
-    _two_sided_unit(ctx, 2, u, vside, tal)
-
-
-def _two_sided_unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
     if not vside.all():
         _xside(ctx, fam, u[~vside], tal)
     if vside.any():
-        u = u[vside]
-        _emit_vside(ctx, fam, _VROWS[fam](ctx, u), tal)
-        # the flagged boundary pair: (A, C) = (-A, A), or v = -u (u even)
-        pair = (-u, u, 1, 0) if fam == 1 else (u, -u, (u & 1) == 0, 0)
-        _emit_vside(ctx, fam, [pair], tal, boundary=True)
+        _emit_vside(ctx, fam, _VROWS[fam](ctx, u[vside]), tal)
 
 
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
@@ -504,100 +498,89 @@ def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
     xs_of = [_pruned_xs(w, sq * u * u, parity=None if fam == 1 else u & 1) for u in us.tolist()]
     u = np.repeat(us, [len(xs) for xs in xs_of])
     xs = np.concatenate(xs_of)
-    ax = np.abs(xs)
-    if fam == 1:
-        rows = _family1_rows(w, u, xs)
-        pair = _rows(-u, xs, u, w.contains_mask(ax, -4 * u * u), 0)  # (A, C) = (-A, A)
-    else:
-        rows = _family2_rows(w, u, xs)
-        pair = _rows(u, xs, -u, ((u & 1) == 0) & w.contains_mask(ax, -u * u) & (xs % 8 == 0), 0)
+    rows = (_family1_rows if fam == 1 else _family2_rows)(w, u, xs)
     _emit_rows(ctx, _EMIT[fam], rows, tal)
-    _emit_rows(ctx, _EMIT[fam], [pair], tal, boundary=True)
 
 
 def _family1_rows(w: _Windows, a, xs):
     """Row batches of the (A, x) pairs: each branch and sign of A with C from
-    |C| > A on, then the C = A ties (the singleton orbits)."""
-    ax = np.abs(xs)
+    |C| = A on (the C = A ties, the singleton orbits), except that C = -A is
+    taken only as (A, C) = (-|A|, |A|), the canonical member of its pair."""
     step = 4 * a
-    for sign, lo_a, hi_a in _branches(w, ax):
-        first = np.maximum(_ceil_div(lo_a, step), a + 1)
-        count = hi_a // step - first + 1
+    for sign, lo_a, hi_a in _branches(w, np.abs(xs)):
+        lo = _ceil_div(lo_a, step)
         for sA in (1, -1):
-            yield _rows(sA * a, xs, sA * sign * first, count, sA * sign)
-    tie = w.contains_mask(ax, step * a)
-    for sA in (1, -1):
-        yield _rows(sA * a, xs, sA * a, tie, 0)
+            first = np.maximum(lo, a + (sign < 0 and sA > 0))
+            yield _rows(sA * a, xs, sA * sign * first, hi_a // step - first + 1, sA * sign)
 
 
 def _family1_vrows(ctx: _Ctx, a: np.ndarray) -> list[tuple]:
     """v-side rows (A, first C, count, step) at outer values A: for each sign
     of A, C of the same sign from C = A (the tie) while 4AC <= y_eff, then C
-    of the other sign from |C| > A while -4AC stays within the negative
-    window piece, whose widest reach is at x = 0."""
+    of the other sign while -4AC stays within the negative window piece,
+    whose widest reach is at x = 0: from |C| = A for A < 0 (the boundary
+    pair (-|A|, |A|)), from |C| > A for A > 0."""
     Y = ctx.y_eff[1]
     N = min(Y, int(ctx.windows[1].neg_hi[0]))
     rows = []
     for sA in (1, -1):
+        first = a + (sA > 0)
         rows.append((sA * a, sA * a, Y // (4 * a) - a + 1, sA))
-        rows.append((sA * a, -sA * (a + 1), N // (4 * a) - a, -sA))
+        rows.append((sA * a, -sA * first, N // (4 * a) - first + 1, -sA))
     return rows
 
 
-def _emit_family1(ctx, A, C, xi, tal, boundary=False):
+def _emit_family1(ctx, A, C, xi, tal):
     y = 4 * A * C
-    _classify_and_tally(ctx, 1, A, xi, C, y, xi * xi - y, tal, boundary=boundary)
+    _classify_and_tally(ctx, 1, A, xi, C, y, xi * xi - y, tal)
 
 
 def _family2_rows(w: _Windows, u, xs):
-    """Row batches of the (u, x) pairs: each branch and sign of u, then the
-    v = u ties (the B = 0 singletons)."""
-    ax = np.abs(xs)
-    for sign, lo_a, hi_a in _branches(w, ax):
-        # a piece is reachable only if it holds some y = u*v with v > u
-        live = np.flatnonzero(hi_a >= np.maximum(lo_a, u * (u + 1)))
+    """Row batches of the (u, x) pairs: each branch and sign of u with v from
+    |v| = u on (the v = u ties, the B = 0 singletons), except that v = -u is
+    taken only for u > 0, where B = -u/2 < 0 is the canonical member of its
+    pair.  The residue of v mod 16 puts u + x = 0 mod 8 on a tie and x = 0
+    mod 8 on a boundary pair, so u is even there, as x has u's parity."""
+    for sign, lo_a, hi_a in _branches(w, np.abs(xs)):
+        # a piece is reachable only if it holds some y = u*v with |v| >= u
+        live = np.flatnonzero(hi_a >= np.maximum(lo_a, u * u))
         ul, xl = u[live], xs[live]
-        vlo = np.maximum(_ceil_div(lo_a[live], ul), ul + 1)
+        lo = _ceil_div(lo_a[live], ul)
         vhi = hi_a[live] // ul
         for su in (1, -1):
             sv = su * sign
             u_v = su * ul
+            vlo = np.maximum(lo, ul + (sign < 0 and su < 0))
             res = (sv * (-u_v - 2 * xl)) & 15
             first = vlo + ((res - vlo) & 15)
             yield _rows(u_v, xl, sv * first, ((vhi - first) >> 4) + 1, 16 * sv)
-    tie = w.contains_mask(ax, u * u)
-    for su in (1, -1):
-        u_v = su * u
-        yield _rows(u_v, xs, u_v, tie & ((u_v + xs) % 8 == 0), 0)
 
 
 def _family2_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
     """v-side rows (u_v, first v, count, step) at outer values u, v = u
     mod 4: for each sign of u, v of the same sign from v = u (the B = 0 tie)
-    while uv <= y_eff, then v of the other sign from |v| > u while -uv stays
-    within the negative window piece, whose widest reach is at x = 0."""
+    while uv <= y_eff, then v of the other sign while -uv stays within the
+    negative window piece, whose widest reach is at x = 0: from |v| >= u for
+    u > 0 (v = -u, for even u, is the boundary pair), from |v| > u for
+    u < 0."""
     Y = ctx.y_eff[2]
     N = min(Y, int(ctx.windows[2].neg_hi[0]))
-    first = u + 1 + ((-2 * u - 1) & 3)  # the least |v| > u with v = -u mod 4
     rows = []
     for su in (1, -1):
+        lo = u + (su < 0)
+        first = lo + ((-u - lo) & 3)  # the least |v| >= lo with v = su*u mod 4
         rows.append((su * u, su * u, (Y // u - u) // 4 + 1, 4 * su))
         rows.append((su * u, -su * first, (N // u - first) // 4 + 1, -4 * su))
     return rows
 
 
-def _emit_family2(ctx, u_v, v_v, xi, tal, boundary=False):
+def _emit_family2(ctx, u_v, v_v, xi, tal):
     y = u_v * v_v
     A = (u_v + v_v + 2 * xi) >> 4
     B = (v_v - u_v) >> 2
     C = (u_v + v_v - 2 * xi) >> 2
     wq = (xi * xi - y) >> 2
-    _classify_and_tally(ctx, 2, A, B, C, y, wq, tal, boundary=boundary)
-
-
-def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
-    """One block of family-3 outer values u >= 0, all from the v side."""
-    _emit_vside(ctx, 3, _family3_vrows(ctx, u), tal)
+    _classify_and_tally(ctx, 2, A, B, C, y, wq, tal)
 
 
 def _family3_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
@@ -609,13 +592,13 @@ def _family3_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
     return [(u, 2 * z, n - z, 2), (-u, 0, n * (1 - z), 2)]
 
 
-def _emit_family3(ctx, u_v, v, xi, tal, boundary=False):
+def _emit_family3(ctx, u_v, v, xi, tal):
     y = u_v * u_v + v * v
     A = (u_v + xi) >> 3
     B = v >> 1
     C = (xi - u_v) >> 1
     wq = (y - xi * xi) >> 2
-    _classify_and_tally(ctx, 3, A, B, C, y, wq, tal, boundary=boundary)
+    _classify_and_tally(ctx, 3, A, B, C, y, wq, tal)
 
 
 #: per family: the v-side rows at a block's outer values, and the map from
@@ -626,11 +609,11 @@ _EMIT = {1: _emit_family1, 2: _emit_family2, 3: _emit_family3}
 
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
     """The number of (u_v, v) pairs the v side enumerates at each outer
-    value u (the boundary pairs left out)."""
+    value u."""
     return sum(np.maximum(count, 0) for _, _, count, _ in _VROWS[fam](ctx, u))
 
 
-def _emit_vside(ctx, fam, vrows, tal, boundary=False):
+def _emit_vside(ctx, fam, vrows, tal):
     """Classify the candidates of v-side rows: the (u_v, v) pairs are
     expanded and tested against their band at most CHUNK_CANDIDATES at a
     time, and the x values of the live ones are solved in batches."""
@@ -640,11 +623,11 @@ def _emit_vside(ctx, fam, vrows, tal, boundary=False):
     batches = _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0]))
     emit = _EMIT[fam]
 
-    def emit_x_rows(ctx, u_v, xi, v, tal, boundary):  # the rows range over x
-        emit(ctx, u_v, v, xi, tal, boundary)
+    def emit_x_rows(ctx, u_v, xi, v, tal):  # the rows range over x
+        emit(ctx, u_v, v, xi, tal)
 
     rows = (rows for pairs in batches for rows in _band_rows(ctx, fam, *pairs))
-    _emit_rows(ctx, emit_x_rows, rows, tal, boundary)
+    _emit_rows(ctx, emit_x_rows, rows, tal)
 
 
 def _pair_y(fam, u_v, v):
@@ -735,14 +718,14 @@ def _batched(stream, cap, size):
         yield [np.concatenate(c) for c in zip(*pending)]
 
 
-def _emit_rows(ctx, emit, batches, tal, boundary=False):
+def _emit_rows(ctx, emit, batches, tal):
     """Classify the candidates of a stream of row batches.  Batches are held
     back until they reach CHUNK_CANDIDATES candidates, so one block's rows
     never sit in memory all at once, and expanded at most CHUNK_CANDIDATES
     candidates per classification pass."""
     for u_v, xs, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
         for r, v in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
-            emit(ctx, u_v[r], v, xs[r], tal, boundary)
+            emit(ctx, u_v[r], v, xs[r], tal)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,10 @@ from .forms import (
     BinQuadForm,
     BinQuartForm,
     FamilyCoords,
-    REFERENCE_J,
     coords_orbit,
     disc_quartic,
     from_form,
     hessian_seminvariants,
-    m_matrix,
-    act_quadratic,
     to_form,
 )
 from .resolvent import conductor_poly
@@ -152,23 +149,8 @@ def real_signature(F: BinQuartForm) -> RealSignature:
 
 
 def family_real_signature(c: FamilyCoords) -> RealSignature:
-    """Sign-table shortcut for families 1 and 2; family 3 falls back to the
-    generic rule on the embedded form."""
-    A, B, C = c.A, c.B, c.C
-    if c.family == 1:
-        if A * C < 0:
-            return RealSignature(1)
-        if A * C > 0 and B * B - 4 * A * C > 0 and -A * B > 0:
-            return RealSignature(0)
-        return RealSignature(2)
-    if c.family == 2:
-        u = 4 * A - 2 * B + C
-        v = 4 * A + 2 * B + C
-        if u * v < 0:
-            return RealSignature(1)
-        if u * v > 0 and B * B - 4 * A * C > 0 and -u * (4 * A - C) > 0:
-            return RealSignature(0)
-        return RealSignature(2)
+    """The real signature of family coordinates, by the generic rule on the
+    embedded form."""
     return real_signature(to_form(c))
 
 

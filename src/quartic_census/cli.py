@@ -135,13 +135,7 @@ def _emit(payload: dict, fmt: str, out: str):
 
 
 def cmd_classify(args, globals_) -> dict:
-    from .classify import (
-        GaloisTag,
-        family_real_signature,
-        galois_tag_form,
-        is_irreducible,
-        real_signature,
-    )
+    from .classify import galois_tag_form, is_irreducible, real_signature
     from .resolvent import conductor_poly, decompose_family
 
     F = _parse_arg(BinQuartForm.parse, args.form, "form")

@@ -70,26 +70,6 @@ _HARDCODED_BASES = {
 }
 
 
-def _kernel_of_linear_form(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
-    """Basis of {v in Z^3 : a v0 + b v1 + c v2 = 0} for (a,b,c) != 0."""
-    r = [a, b, c]
-    U = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns track the transform
-    piv = next(k for k in range(3) if r[k] != 0)
-    if piv != 0:
-        r[0], r[piv] = r[piv], r[0]
-        for row in U:
-            row[0], row[piv] = row[piv], row[0]
-    for j in (1, 2):
-        if r[j] == 0:
-            continue
-        g, s, t = _ext_gcd(r[0], r[j])
-        q0, qj = r[0] // g, r[j] // g
-        for row in U:
-            row[0], row[j] = s * row[0] + t * row[j], -qj * row[0] + q0 * row[j]
-        r[0], r[j] = g, 0
-    return [tuple(U[i][j] for i in range(3)) for j in (1, 2)]
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g > 0."""
     old_r, r = a, b
@@ -116,7 +96,7 @@ def w_lattice_basis(J: BinQuadForm) -> WBasis:
         f, g = _HARDCODED_BASES[J]
     else:
         a, b, c = J.coeffs()
-        v1, v2 = _kernel_of_linear_form(2 * c, -b, 2 * a)
+        v1, v2 = _integer_kernel([[2 * c, -b, 2 * a]])
         f, g = BinQuadForm(*v1), BinQuadForm(*v2)
     jac = jacobian_det(f, g)
     nb = n_beta(J)
@@ -366,7 +346,7 @@ def lattice_dets(J: BinQuadForm) -> tuple[int, int]:
         raise ValueError("J must be primitive with nonzero discriminant")
     alpha, beta, _ = J.coeffs()
     a, b, c = J.coeffs()
-    kernel = _kernel_of_linear_form(2 * c, -b, 2 * a)
+    kernel = _integer_kernel([[2 * c, -b, 2 * a]])
     if alpha != 0:
         proj2 = [(v[0], v[1]) for v in kernel]
     else:

@@ -253,8 +253,8 @@ def test_family_side_forced(monkeypatch, fam, side):
 @pytest.mark.parametrize("fam", [1, 2])
 def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     # stronger than the hashes, which see only accepted records: the x-scan
-    # and the pivot pass the same candidates, boundary flags and
-    # multiplicities included, to the filter
+    # and the pivot pass the same candidates, multiplicities included, to the
+    # filter, and each passes every orbit once, through one member
     import numpy as np
 
     from quartic_census import census
@@ -262,8 +262,8 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     def candidates(mode, vside):
         seen = []
 
-        def record(ctx, f, A, B, C, y, w, tal, boundary=False):
-            seen.append(np.stack([A, B, C, y, w, np.full(len(A), boundary)], axis=1))
+        def record(ctx, f, A, B, C, y, w, tal):
+            seen.append(np.stack([A, B, C, y, w], axis=1))
 
         _force_side(monkeypatch, fam, vside)
         monkeypatch.setattr(census, "_classify_and_tally", record)
@@ -274,6 +274,16 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     for mode in ("conductor", "discriminant"):
         xs = candidates(mode, False)
         assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
+        A, B, C = xs[:, 0], xs[:, 1], xs[:, 2]
+        # the other member of the orbit: (C, B, A) for family 1, (A, -B, C)
+        # for family 2; a tie is its own partner, a boundary pair is not
+        partner = np.stack([C, B, A] if fam == 1 else [A, -B, C], axis=1)
+        tie = (C == A) if fam == 1 else (B == 0)
+        boundary = C == (-A if fam == 1 else -4 * A)
+        triples = {tuple(t) for t in xs[:, :3].tolist()}
+        assert len(triples) == len(xs), mode
+        assert not any(tuple(p) in triples for p in partner[~tie].tolist()), mode
+        assert tie.any() and boundary.any(), mode
 
 
 def _ragged_reference(starts, counts, step):
@@ -563,6 +573,8 @@ def test_config_validation():
         CensusConfig(x=10**10)  # beyond the supported vectorized bound
     with pytest.raises(ValueError):
         CensusConfig(x=10, families=(4,))
+    with pytest.raises(ValueError, match="nonempty"):
+        CensusConfig(x=100, families=())
 
 
 def test_family3_share_decreases():
