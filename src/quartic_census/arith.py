@@ -141,6 +141,51 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def rational_roots(coeffs) -> list:
+    """The rational roots, as sorted Fractions, of the integer polynomial
+    with coefficients coeffs, highest degree first (the leading one nonzero).
+
+    A zero constant term gives the root 0 and leaves coeffs[:-1].  Otherwise
+    every root is p/q with q | lead, p | constant and gcd(p, q) = 1, tested
+    as q^n * P(p/q) by Horner's rule in integers.
+    """
+    # not imported with this module, which every census process loads: there
+    # it cost 0.08 MB peak RSS, 2-5% perfbench census wall time (2-vCPU VM)
+    from fractions import Fraction
+
+    if coeffs[0] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    if coeffs[-1] == 0:
+        return sorted({Fraction(0), *rational_roots(coeffs[:-1])})
+    roots = []
+    for q in divisors(coeffs[0]):
+        for p_abs in divisors(coeffs[-1]):
+            if gcd(p_abs, q) != 1:
+                continue
+            for p in (p_abs, -p_abs):
+                v, qk = coeffs[0], 1
+                for c in coeffs[1:]:
+                    qk *= q
+                    v = v * p + c * qk
+                if v == 0:
+                    roots.append(Fraction(p, q))
+    return sorted(roots)
+
+
+def det(M) -> int:
+    """Determinant of an n x n integer matrix, n >= 2, by Laplace expansion
+    along the first row."""
+    if len(M) == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    total, sign = 0, 1
+    for j, a in enumerate(M[0]):
+        if a:
+            total += sign * a * det([row[:j] + row[j + 1 :] for row in M[1:]])
+        sign = -sign
+    return total
+
+
 def is_squarefree(n: int) -> bool:
     if n == 0:
         return False

@@ -50,6 +50,8 @@ X_MAX_CONDUCTOR = 250_000_000
 X_MAX_DISC = 200_000_000
 #: count_v4_by_disc sieves up to sqrt(X): a 12.5 MB table at this cap.
 X_MAX_V4_COUNT = 10**16
+#: Every shard is a forked process; more are refused.
+SHARDS_MAX = 64
 
 #: A block of outer values closes once its scan, 2*xmax+1 per value on the
 #: x side and its pairs on the v side, reaches this size.  Blocks amortize
@@ -98,8 +100,8 @@ class CensusConfig:
             raise ValueError("r2 filter must be None, 0, 1 or 2")
         if not self.families or any(f not in (1, 2, 3) for f in self.families):
             raise ValueError("families must be a nonempty subset of {1,2,3}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        if not 1 <= self.shards <= SHARDS_MAX:
+            raise ValueError(f"shards must be within [1, {SHARDS_MAX}], got {self.shards}")
         cap = X_MAX_CONDUCTOR if self.mode == "conductor" else X_MAX_DISC
         if self.x > cap:
             raise ValueError(

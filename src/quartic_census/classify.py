@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
 
-from .arith import divisors, is_square
+from .arith import divisors, is_square, rational_roots
 from .forms import (
     BinQuadForm,
     BinQuartForm,
@@ -53,17 +53,8 @@ def is_irreducible(F: BinQuartForm) -> bool:
     if F.a4 == 0:
         raise ValueError("a4 must be nonzero")
     cont = F.content()
-    a4, a3, a2, a1, a0 = (v // cont for v in F.coeffs())
-    if a0 == 0:
-        return False
-    for q in divisors(a4):
-        for p_abs in divisors(a0):
-            for p in (p_abs, -p_abs):
-                if gcd(p, q) != 1:
-                    continue
-                if a4 * p**4 + a3 * p**3 * q + a2 * p**2 * q**2 + a1 * p * q**3 + a0 * q**4 == 0:
-                    return False
-    return _quadratic_split(a4, a3, a2, a1, a0) is None
+    co = [v // cont for v in F.coeffs()]
+    return not rational_roots(co) and _quadratic_split(*co) is None
 
 
 def _quadratic_split(a4, a3, a2, a1, a0):
@@ -124,15 +115,12 @@ def galois_tag_form(F: BinQuartForm) -> GaloisTag:
     """Tag for an arbitrary quartic form; LARGE when F lies in no family."""
     from .forms import family_membership
 
-    d = disc_quartic(F)
-    if d == 0:
-        raise ValueError("form has zero discriminant")
-    if not is_irreducible(F):
-        return GaloisTag.REDUCIBLE
     fams = family_membership(F)
-    if not fams:
-        return GaloisTag.LARGE
-    return galois_tag(from_form(F, min(fams)))
+    if fams:
+        return galois_tag(from_form(F, min(fams)))
+    if disc_quartic(F) == 0:
+        raise ValueError("form has zero discriminant")
+    return GaloisTag.LARGE if is_irreducible(F) else GaloisTag.REDUCIBLE
 
 
 def real_signature(F: BinQuartForm) -> RealSignature:

@@ -180,13 +180,13 @@ def cmd_family(args, globals_) -> dict:
 def cmd_decompose(args, globals_) -> dict:
     from .resolvent import decompose_family
 
-    c = _parse_arg(FamilyCoords.parse, args.coords, "coordinates")
-    return json.loads(decompose_family(c).to_json())
+    dec = _parse_arg(lambda t: decompose_family(FamilyCoords.parse(t)), args.coords, "coordinates")
+    return json.loads(dec.to_json())
 
 
 def cmd_maximal(args, globals_) -> dict:
     c = _parse_arg(FamilyCoords.parse, args.coords, "coordinates")
-    rep = is_maximal(c)
+    rep = _parse_arg(lambda _: is_maximal(c), args.coords, "coordinates")
     out = json.loads(rep.to_json())
     out["coords"] = c.serialize()
     return out

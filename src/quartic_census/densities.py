@@ -69,12 +69,16 @@ def rho2(a: int, m: int) -> int:
     return int(_nonmax_all(2, r, s, a - 4 * r + 2 * s, m).sum())
 
 
-def rho2_zero(a: int) -> int:
-    """Count of (b, c) mod 16 for which the family-1 triple (a, b, c) descends
-    to integral family-2 coordinates under the quarter-scaling transform."""
+def _descent_mask(a: int):
+    """The (b, c) mod 16 for which the family-1 triple (a, b, c) descends to
+    integral family-2 coordinates under the quarter-scaling transform."""
     b, c = _grid(16)
-    ok = ((a + b + c) % 16 == 0) & ((-a + c) % 4 == 0) & ((a - b + c) % 4 == 0)
-    return int(ok.sum())
+    return ((a + b + c) % 16 == 0) & ((-a + c) % 4 == 0) & ((a - b + c) % 4 == 0)
+
+
+def rho2_zero(a: int) -> int:
+    """Count of the (b, c) mod 16 in the descent mask of a."""
+    return int(_descent_mask(a).sum())
 
 
 def rho2_prime(a: int, m: int) -> int:
@@ -88,12 +92,10 @@ def rho2_prime(a: int, m: int) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     m2 = m * m
-    b0g, c0g = _grid(16)
-    ok0 = ((a + b0g + c0g) % 16 == 0) & ((-a + c0g) % 4 == 0) & ((a - b0g + c0g) % 4 == 0)
     total = 0
     kb = np.arange(m2, dtype=np.int64)[:, None]
     kc = np.arange(m2, dtype=np.int64)[None, :]
-    for b0, c0 in zip(*np.nonzero(ok0)):
+    for b0, c0 in zip(*np.nonzero(_descent_mask(a))):
         if m == 1:
             total += 1
             continue

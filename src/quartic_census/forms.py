@@ -17,6 +17,18 @@ class NonIntegralActionError(ValueError):
     """Twisted action produced non-integral coefficients."""
 
 
+def poly_mul(u, v) -> list[int]:
+    """Product of two polynomials given as coefficient sequences in the same
+    order (either end first), skipping zero coefficients."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    out[i + j] += ui * vj
+    return out
+
+
 @dataclass(frozen=True)
 class BinQuadForm:
     c2: int
@@ -36,15 +48,7 @@ class BinQuadForm:
         return gcd(gcd(self.c2, self.c1), self.c0) == 1
 
     def __mul__(self, other: "BinQuadForm") -> "BinQuartForm":
-        f2, f1, f0 = self.coeffs()
-        g2, g1, g0 = other.coeffs()
-        return BinQuartForm(
-            f2 * g2,
-            f2 * g1 + f1 * g2,
-            f2 * g0 + f1 * g1 + f0 * g2,
-            f1 * g0 + f0 * g1,
-            f0 * g0,
-        )
+        return BinQuartForm(*poly_mul(self.coeffs(), other.coeffs()))
 
     def __neg__(self) -> "BinQuadForm":
         return BinQuadForm(-self.c2, -self.c1, -self.c0)

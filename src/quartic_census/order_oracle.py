@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import BinQuartForm
+from .arith import det
+from .forms import BinQuartForm, poly_mul
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,6 @@ class QuarticOrderTable:
                     assert lhs == rhs, (a, b, c, lhs, rhs)
 
 
-def _poly_mult(u, v):
-    """Product of two cubics in t, coefficient lists low-to-high, length 7."""
-    out = [0] * 7
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] += ui * vj
-    return out
-
-
 def order_from_form(F: BinQuartForm) -> QuarticOrderTable:
     """Structure constants of Z + Z*z1 + Z*z2 + Z*z3 with z1 = a4*t,
     z2 = a4*t^2 + a3*t, z3 = a4*t^3 + a3*t^2 + a2*t for t a root of F(t,1).
@@ -131,7 +121,7 @@ def order_from_form(F: BinQuartForm) -> QuarticOrderTable:
     prods = []
     for i in range(3):
         for j in range(i, 3):
-            raw = _poly_mult(z[i], z[j])  # degree <= 6
+            raw = poly_mul(z[i], z[j])  # degree <= 6
             # three pseudo-reduction steps: multiply the tail by a4 and
             # substitute a4 t^k = -(a3 t^{k-1} + ... + a0 t^{k-4})
             scale = 1
@@ -176,31 +166,7 @@ def order_disc(o: QuarticOrderTable) -> int:
         for j in range(i, 4):
             col = reg[4 * i + j]
             G[i][j] = G[j][i] = sum(col[k] * tr[k] for k in range(4))
-    return _det4(G)
-
-
-def _det4(M) -> int:
-    det = 0
-    for c0 in range(4):
-        for c1 in range(4):
-            if c1 == c0:
-                continue
-            for c2 in range(4):
-                if c2 in (c0, c1):
-                    continue
-                c3 = 6 - c0 - c1 - c2
-                sign = _perm_sign((c0, c1, c2, c3))
-                det += sign * M[0][c0] * M[1][c1] * M[2][c2] * M[3][c3]
-    return det
-
-
-def _perm_sign(p) -> int:
-    s = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                s = -s
-    return s
+    return det(G)
 
 
 def _rref(rows, p, ncols):

@@ -8,9 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .arith import divisors
+from .arith import det, rational_roots
 from .forms import (
     BinQuadForm,
     BinQuartForm,
@@ -112,7 +111,8 @@ def decompose(F: BinQuartForm, J: BinQuadForm) -> Decomposition:
     """Write F = h(f, g) with (f, g) the lattice basis for J.
 
     F must be fixed by the involution of J and have nonzero discriminant.
-    The 5x3 linear system is solved over Q and integrality of h asserted.
+    h comes from the primitive integer kernel vector (h, 1) of the 5x4
+    matrix [ff fg gg -F]; an integral h is asserted.
     """
     if disc_quartic(F) == 0:
         raise ValueError("F must have nonzero discriminant")
@@ -120,42 +120,15 @@ def decompose(F: BinQuartForm, J: BinQuadForm) -> Decomposition:
         raise ValueError("F is not fixed by the involution of J")
     basis = w_lattice_basis(J)
     f, g = basis.f, basis.g
-    cols = [(f * f).coeffs(), (f * g).coeffs(), (g * g).coeffs()]
-    target = F.coeffs()
-    sol = _solve_exact_5x3(cols, target)
-    if sol is None or any(v.denominator != 1 for v in sol):
+    rows = zip((f * f).coeffs(), (f * g).coeffs(), (g * g).coeffs(), F.coeffs())
+    kernel = _integer_kernel([[a, b, c, -t] for a, b, c, t in rows])
+    if len(kernel) != 1 or kernel[0][3] not in (1, -1):
         raise AssertionError("decomposition system had no integral solution")
-    h = BinQuadForm(int(sol[0]), int(sol[1]), int(sol[2]))
+    k = kernel[0]
+    h = BinQuadForm(k[3] * k[0], k[3] * k[1], k[3] * k[2])
     dec = Decomposition(h, f, g, J)
     assert dec.reconstruct() == F
     return dec
-
-
-def _solve_exact_5x3(cols, target):
-    """Solve sum_j x_j * cols[j] = target exactly; None when inconsistent."""
-    rows = [[Fraction(cols[j][i]) for j in range(3)] + [Fraction(target[i])] for i in range(5)]
-    pivots = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, 5) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(5):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if any(all(v == 0 for v in row[:3]) and row[3] != 0 for row in rows):
-        return None
-    if len(pivots) < 3:
-        return None
-    sol = [Fraction(0)] * 3
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][3]
-    return sol
 
 
 def conductor_poly(c: FamilyCoords) -> int:
@@ -190,34 +163,6 @@ def resolvent_cubic(F: BinQuartForm) -> tuple[int, int, int, int]:
     )
 
 
-def _rational_roots_cubic(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
-    """All rational roots of c3 X^3 + c2 X^2 + c1 X + c0 (c3 != 0)."""
-    if c0 == 0:
-        rest = _rational_roots_quadratic(c3, c2, c1)
-        return sorted(set([Fraction(0)] + rest))
-    roots = set()
-    for q in divisors(c3):
-        for p in divisors(c0):
-            for sp in (p, -p):
-                if gcd(sp, q) not in (1, -1):
-                    continue
-                if ((c3 * sp + c2 * q) * sp + c1 * q * q) * sp + c0 * q**3 == 0:
-                    roots.add(Fraction(sp, q))
-    return sorted(roots)
-
-
-def _rational_roots_quadratic(a: int, b: int, c: int) -> list[Fraction]:
-    from math import isqrt
-
-    d = b * b - 4 * a * c
-    if d < 0:
-        return []
-    r = isqrt(d)
-    if r * r != d:
-        return []
-    return sorted({Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)})
-
-
 def rational_resolvent_root(F: BinQuartForm, family: int | None = None) -> Fraction:
     """The rational root of the cubic resolvent.
 
@@ -234,7 +179,7 @@ def rational_resolvent_root(F: BinQuartForm, family: int | None = None) -> Fract
             return Fraction(-2)
         if c.A != 0:
             return Fraction(c.B, c.A)
-    roots = _rational_roots_cubic(*resolvent_cubic(F))
+    roots = rational_roots(resolvent_cubic(F))
     if not roots:
         raise ValueError("resolvent cubic has no rational root")
     return roots[0]
@@ -351,25 +296,20 @@ def lattice_dets(J: BinQuadForm) -> tuple[int, int]:
         proj2 = [(v[0], v[1]) for v in kernel]
     else:
         proj2 = [(v[0], v[2]) for v in kernel]
-    det_w = abs(proj2[0][0] * proj2[1][1] - proj2[0][1] * proj2[1][0])
+    det_w = abs(det(proj2))
 
     vbasis = _v_lattice_basis(J)
     if alpha != 0:
         proj3 = [(F.a4, F.a3, F.a2) for F in vbasis]
     else:
         proj3 = [(F.a4, F.a2, F.a0) for F in vbasis]
-    det_v = abs(_det3(proj3))
+    det_v = abs(det(proj3))
 
     nb = 2 if beta % 2 else 1
     expect = abs(nb * alpha) if alpha != 0 else abs(nb * beta // 2)
     assert det_w == expect, (J, det_w, expect)
     assert det_v == expect**3, (J, det_v, expect**3)
     return det_w, det_v
-
-
-def _det3(rows) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def decompose_family(c: FamilyCoords) -> Decomposition:

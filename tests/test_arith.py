@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+import pytest
 
 from quartic_census.arith import (
     PackedSquarefree,
+    det,
     divisors,
     factorize,
     is_prime,
@@ -13,9 +16,11 @@ from quartic_census.arith import (
     odd_part,
     prime_divisors,
     primes_upto,
+    rational_roots,
     vec_is_square,
     vec_isqrt,
 )
+from quartic_census.forms import poly_mul
 
 rng = random.Random(9)
 
@@ -102,3 +107,75 @@ def test_vec_isqrt_and_square():
     sq = np.array([n * n for n in range(1, 40)] + [2, 3, 5, -9, -1], dtype=np.int64)
     got = vec_is_square(sq)
     assert got[:39].all() and not got[39:].any()
+
+
+def _random_poly(deg):
+    """An integer polynomial of the given degree, highest coefficient first:
+    a product of linear factors q*x - p (repeated and non-integral roots
+    included) and a random cofactor, with zero constant terms, negative
+    leading coefficients and constants with many divisors among them."""
+    n_lin = rng.randint(0, deg)
+    co = [rng.choice((1, -1, 2, -3, 6, 12))]
+    roots = []
+    for _ in range(n_lin):
+        if roots and rng.random() < 0.3:
+            factor = roots[-1]
+        else:
+            factor = (rng.randint(1, 4), rng.choice((0, 1, -1, 3, -5, 7, 12, -60)))
+        roots.append(factor)
+        co = poly_mul(co, factor)
+    co = poly_mul(co, [rng.randint(-9, 9) for _ in range(deg - n_lin)] or [1])
+    if co[0] == 0:
+        co[0] = rng.choice((1, -2))
+    return co
+
+
+def test_rational_roots_vs_sympy():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    cases = [
+        [2, -3],  # 3/2
+        [1, 0, 0],  # a double root 0
+        [-4, 0, 9, 0],  # 0 and +-3/2
+        [1, -2, 1],  # a double root 1
+        [6, 1, -1],  # -1/2, 1/3
+        [1, 0, 1],  # none
+        [7],  # a nonzero constant
+        [1, 0, 0, 0, -720720],  # many divisors, no root
+        [2, 561, -1441721, 720720],  # 720, -1001 and 1/2; 240 divisors of 720720
+    ]
+    cases += [_random_poly(deg) for deg in range(1, 6) for _ in range(80)]
+    assert sum(c[-1] == 0 for c in cases) > 20
+    for co in cases:
+        want = sorted(sp.Poly(co, x).ground_roots())
+        got = rational_roots(co)
+        assert got == [Fraction(int(r.p), int(r.q)) for r in want], co
+        assert rational_roots(tuple(co)) == got
+    with pytest.raises(ValueError):
+        rational_roots([0, 1, 1])
+
+
+def test_det_vs_sympy():
+    sp = pytest.importorskip("sympy")
+    for n in (2, 3, 4, 5):
+        for k in range(60):
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 1:
+                # a singular matrix: one row a combination of two others
+                i, j, m = rng.sample(range(n), 2) + [rng.randrange(n)]
+                M[m] = [2 * a - 3 * b for a, b in zip(M[i], M[j])] if m not in (i, j) else [0] * n
+            if k % 3 == 2:
+                M[rng.randrange(n)][rng.randrange(n)] = 0
+            want = int(sp.Matrix(M).det())
+            assert det(M) == want, M
+            assert det([tuple(row) for row in M]) == want
+            if k % 3 == 1:
+                assert want == 0
+
+
+def test_poly_mul_vs_convolve():
+    for _ in range(500):
+        u = [rng.choice((0, 0, 1, -2, 5)) for _ in range(rng.randint(1, 6))]
+        v = [rng.choice((0, 0, 3, -1, 7)) for _ in range(rng.randint(1, 6))]
+        assert poly_mul(u, v) == np.convolve(u, v).tolist()
+        assert poly_mul(tuple(u), v) == poly_mul(v, u)

@@ -4,6 +4,7 @@ from math import isqrt
 import pytest
 
 from quartic_census.census import (
+    SHARDS_MAX,
     CensusConfig,
     Tallies,
     brute_force_class_oracle,
@@ -575,6 +576,8 @@ def test_config_validation():
         CensusConfig(x=10, families=(4,))
     with pytest.raises(ValueError, match="nonempty"):
         CensusConfig(x=100, families=())
+    with pytest.raises(ValueError, match="shards"):
+        CensusConfig(x=10, shards=SHARDS_MAX + 1)
 
 
 def test_family3_share_decreases():

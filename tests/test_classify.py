@@ -58,6 +58,12 @@ def test_galois_tag_examples():
         galois_tag(FamilyCoords(1, 1, 2, 1))
     assert galois_tag_form(BinQuartForm(1, 1, 1, 1, 1)) == GaloisTag.C4  # 5th cyclotomic, palindromic
     assert galois_tag_form(BinQuartForm(1, 0, 0, 1, 1)) == GaloisTag.LARGE
+    # (x^2 + x + 1)(x^2 + 2) and (x + 1)^2 (x^2 + 2) lie in no family
+    assert galois_tag_form(BinQuartForm(1, 1, 3, 2, 2)) == GaloisTag.REDUCIBLE
+    with pytest.raises(ValueError):
+        galois_tag_form(BinQuartForm(1, 2, 3, 4, 2))
+    with pytest.raises(ValueError):
+        galois_tag_form(BinQuartForm(1, 0, 2, 0, 1))  # (x^2 + y^2)^2, family 1
     assert GaloisTag.D4.value == "d4"
 
 

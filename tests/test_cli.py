@@ -86,6 +86,9 @@ def test_validate_rejects_empty_box(capsys, argv):
         ["family", "1,0"],
         ["maximal", "4:1,2,3"],
         ["decompose", "zz"],
+        ["decompose", "1:1,2,1"],
+        ["maximal", "1:0,1,0"],
+        ["--shards", "65", "census", "conductor", "--x", "100"],
         ["densities", "--primes", "4"],
         ["densities", "--primes", "2,a"],
         ["constants", "--which", "carefree", "--prime-limit", "0"],
