@@ -1,32 +1,34 @@
 """Independent ground truth for maximality: build the rank-4 ring attached to
-a quartic form and decide p-maximality by the radical / multiplier-ring test.
+a quartic form and decide p-maximality by the radical / multiplier-ring test
+(the Round-2 step of Pohst and Zassenhaus; Cohen, A Course in Computational
+Algebraic Number Theory, 6.1).
 
 Nothing here knows about the family congruence criteria; agreement between the
 two is a theorem, not a construction.
 
 The test, for the order O with basis e0 = 1, e1, e2, e3 and a prime p:
 
-1. The nilradical of O/pO is the kernel of the F_p-linear map x -> x^q with
-   q = p^e >= 4 (a nilpotent element of a rank-4 algebra has x^4 = 0).  The
-   matrix of that map has columns e_j^q, computed mod p, and column 0 is
-   1^q = e_0, so the kernel is zero exactly when the lower-right 3x3 block
-   has a nonzero determinant mod p.  The lift R = pO + rad of the kernel is
-   the p-radical of O, and O is p-maximal exactly when the multiplier ring
-   {x : xR inside R} is O itself.
-2. If the nilradical is zero, R = pO.  Then xR inside R means x*pO inside pO,
-   i.e. x in O (as 1 is in O), so the multiplier ring is O and the answer is
-   True without building R.
-3. Otherwise R has the basis B whose row c is the echelon row of rad mod p
-   with pivot c, or p*e_c where rad has no pivot.  B is upper triangular with
-   diagonal 1 or p, and it spans R: it lies in R and has the same index
-   p^(4 - dim rad).
-4. Y = p*B^-1 is integral because pO lies in R, so the coordinates of w in B
-   are (w*Y)/p.  Every division here is checked exact, which checks that R is
-   an O-module.
-5. x = y/p with y in O multiplies R into R iff y*B_j lies in pR for each j:
-   a linear condition on y mod p, given by the 16x4 matrix of the
-   coordinates of e_i*B_j mod p.  Its kernel is zero, i.e. it has rank 4,
-   exactly when the multiplier ring is O.
+1. O/pO is reduced exactly when p does not divide disc(O), the determinant
+   of the trace form, which each table computes once.  Then the p-radical
+   R = pO + rad is pO, and xR inside R means x*pO inside pO, i.e. x in O
+   (as 1 is in O): the multiplier ring is O and the answer is True.
+2. Otherwise the nilradical rad of O/pO is the kernel of the F_p-linear map
+   x -> x^q with q = p^e >= 4 (a nilpotent element of a rank-4 algebra has
+   x^4 = 0), whose matrix has columns e_j^q mod p; column 0 is 1^q = e_0.
+   The kernel is asserted nonzero, which ties step 1 to this one, and is
+   taken in reduced echelon form: d <= 3 rows E_u, each with a leading 1.
+3. R has the basis B whose row c is the row E_u leading at c, or p*e_c where
+   no row leads.  B is upper triangular with diagonal 1 or p, and it spans
+   R: it lies in R and has the same index p^(4 - d).
+4. x = y/p with y in O multiplies R into R iff y*B_j lies in pR for each j.
+   For B_j = p*e_0 this says y lies in R, so y = sum of l_u*E_u mod pO; R
+   being an ideal then settles every row p*e_c, and what is left is
+   y*E_s in pR for each radical row E_s.
+5. The B-coordinates X_iu of e_i*E_u come from forward substitution on B,
+   and every division by a diagonal p is asserted exact, which checks that
+   R is an O-module.  Coordinate k of E_s*E_u is sum_i E_s[i]*X_iu[k], and
+   O is p-maximal exactly when the (4d) x d matrix of these, mod p, has
+   rank d: no l other than 0 mod p passes step 4.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class QuarticOrderTable:
     # the regular representation: regular[4*i + j] = e_i*e_j for i, j in 0..3,
     # with e_0 = 1 and e_k = z_k; built once from `products`
     regular: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
+    # the determinant of the trace form tr(e_i*e_j), built once from `regular`
+    disc: int = field(init=False, repr=False, compare=False)
 
     _KEYS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -59,6 +63,14 @@ class QuarticOrderTable:
             for j in range(4)
         ]
         object.__setattr__(self, "regular", tuple(regular))
+        # traces of basis elements from the regular representation
+        tr = [sum(regular[4 * k + j][j] for j in range(4)) for k in range(4)]
+        G = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                col = regular[4 * i + j]
+                G[i][j] = G[j][i] = col[0] * tr[0] + col[1] * tr[1] + col[2] * tr[2] + col[3] * tr[3]
+        object.__setattr__(self, "disc", det(G))
 
     def product(self, i: int, j: int) -> tuple[int, int, int, int]:
         if i > j:
@@ -158,25 +170,21 @@ def order_from_form(F: BinQuartForm) -> QuarticOrderTable:
 
 def order_disc(o: QuarticOrderTable) -> int:
     """Determinant of the 4x4 trace-pairing matrix of the order."""
-    reg = o.regular
-    # traces of basis elements from the regular representation
-    tr = [sum(reg[4 * k + j][j] for j in range(4)) for k in range(4)]
-    G = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            col = reg[4 * i + j]
-            G[i][j] = G[j][i] = sum(col[k] * tr[k] for k in range(4))
-    return det(G)
+    return o.disc
 
 
-def _rref(rows, p, ncols):
-    """Reduced row echelon form over F_p: (reduced rows, pivot columns); the
-    first len(pivots) rows are the nonzero ones, row r with pivot pivots[r]."""
+def _rref_kernel(rows, p, ncols):
+    """Kernel basis of a matrix over F_p (rows of length ncols) in reduced
+    echelon form: one vector per free column c, with 1 at c, 0 before c and
+    0 at the other free columns."""
     M = [[x % p for x in row] for row in rows]
     n = len(M)
-    pivots = []
-    r = 0
-    for c in range(ncols):
+    pivots = {}  # pivot column -> its row
+    # eliminating the columns from the last one down leaves each pivot row
+    # nonzero only at its pivot and at free columns before it, so each
+    # kernel vector is 0 before its free column
+    for c in range(ncols - 1, -1, -1):
+        r = len(pivots)
         if r == n:
             break
         for pr in range(r, n):
@@ -194,28 +202,22 @@ def _rref(rows, p, ncols):
             f = M[i][c]
             if f and i != r:
                 M[i] = [(x - f * y) % p for x, y in zip(M[i], piv)]
-        pivots.append(c)
-        r += 1
-    return M, pivots
-
-
-def _rref_kernel(rows, p, ncols):
-    """Kernel basis of a matrix over F_p (rows of length ncols)."""
-    M, pivots = _rref(rows, p, ncols)
+        pivots[c] = r
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         v = [0] * ncols
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
+        for pc, ri in pivots.items():
             v[pc] = (-M[ri][fc]) % p
         basis.append(v)
     return basis
 
 
 def _p_radical(o: QuarticOrderTable, p: int):
-    """Basis of the nilradical of O/pO as the kernel of x -> x^q, q = p^e >= 4."""
+    """Basis of the nilradical of O/pO as the kernel of x -> x^q, q = p^e >= 4,
+    in reduced echelon form."""
     q = p
     while q < 4:
         q *= p
@@ -254,89 +256,17 @@ def _p_radical(o: QuarticOrderTable, p: int):
             if bit == "1":
                 r = mult(r, b)
         cols.append(r)
-    (_, x1, x2, x3), (_, y1, y2, y3), (_, z1, z2, z3) = cols
-    # column 0 is e_0, so the kernel is zero iff the lower-right 3x3 block is
-    # invertible mod p
-    if (x1 * (y2 * z3 - y3 * z2) - y1 * (x2 * z3 - x3 * z2) + z1 * (x2 * y3 - x3 * y2)) % p:
-        return []
     return _rref_kernel(list(zip((1, 0, 0, 0), *cols)), p, 4)
-
-
-def _hnf_rows(gens):
-    """Row HNF basis (4 rows, upper triangular, positive diagonal) of the
-    lattice generated by the given length-4 integer rows."""
-    M = [list(g) for g in gens]
-    r = 0
-    for c in range(4):
-        while True:
-            nz = [i for i in range(r, len(M)) if M[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(M[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = M[i][c] // M[i0][c]
-                M[i] = [a - q * b for a, b in zip(M[i], M[i0])]
-        nz = [i for i in range(r, len(M)) if M[i][c] != 0]
-        if not nz:
-            continue
-        M[r], M[nz[0]] = M[nz[0]], M[r]
-        if M[r][c] < 0:
-            M[r] = [-x for x in M[r]]
-        for i in range(r):
-            q = M[i][c] // M[r][c]
-            M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-        r += 1
-    assert r == 4, "lattice does not have full rank"
-    return M[:4]
 
 
 def _radical_basis(rad, p):
     """Rows of R = pO + (lift of rad), upper triangular with diagonal 1 or p:
-    the echelon row of rad mod p at each of its pivot columns, p*e_c at the
-    other columns c."""
+    for rad in reduced echelon form, each row of rad at its leading column,
+    p*e_c at the other columns c."""
     B = [[p if i == j else 0 for j in range(4)] for i in range(4)]
-    if rad:
-        E, pivots = _rref(rad, p, 4)
-        for r, c in enumerate(pivots):
-            B[c] = E[r]
+    for v in rad:
+        B[v.index(1)] = v  # the leading entry is the first 1
     return B
-
-
-def _multiplier_rows(o: QuarticOrderTable, p: int, rad):
-    """The 16x4 matrix over F_p whose kernel is {y in O/pO : y*R inside pR}
-    for R = pO + (lift of rad): rows[4*j + k][i] is coordinate k of e_i*B_j
-    in the basis B of R, mod p."""
-    B = _radical_basis(rad, p)
-    # Y = p*B^-1, row i solving y*B = p*e_i; integral because pO is inside R
-    Y = []
-    for i in range(4):
-        w = [p if k == i else 0 for k in range(4)]
-        y = [0] * 4
-        for c in range(4):
-            q, rem = divmod(w[c], B[c][c])
-            assert rem == 0
-            y[c] = q
-            if q:
-                for k in range(c + 1, 4):
-                    w[k] -= q * B[c][k]
-        Y.append(y)
-    Y0, Y1, Y2, Y3 = zip(*Y)  # the columns of Y
-    reg = o.regular
-    rows = [[0] * 4 for _ in range(16)]
-    for j in range(4):
-        rows[5 * j][0] = 1  # 1*B_j = B_j has coordinates e_j
-    for i in (1, 2, 3):
-        L0, L1, L2, L3 = reg[4 * i : 4 * i + 4]  # e_i*e_m for m in 0..3
-        for j, (b0, b1, b2, b3) in enumerate(B):
-            # w = e_i*B_j; its coordinates (w*Y)/p are exact because R is an
-            # O-module
-            w = [b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 for x0, x1, x2, x3 in zip(L0, L1, L2, L3)]
-            for k, Yk in enumerate((Y0, Y1, Y2, Y3)):
-                q, rem = divmod(w[0] * Yk[0] + w[1] * Yk[1] + w[2] * Yk[2] + w[3] * Yk[3], p)
-                assert rem == 0
-                rows[4 * j + k][i] = q % p
-    return rows
 
 
 def p_maximality_oracle(o: QuarticOrderTable, p: int) -> bool:
@@ -344,12 +274,55 @@ def p_maximality_oracle(o: QuarticOrderTable, p: int) -> bool:
 
     Computes the p-radical ideal R (lift of the nilradical of O/pO plus pO)
     and tests whether the multiplier ring {x : x*R inside R} exceeds O; the
-    order is p-maximal exactly when it does not.  A zero nilradical gives
-    R = pO, whose multiplier ring is O.
+    order is p-maximal exactly when it does not.  When p does not divide
+    disc(O), O/pO is reduced, R = pO and its multiplier ring is O.
     """
-    rad = _p_radical(o, p)
-    if not rad:
+    if o.disc % p:
         return True
-    # x = y/p multiplies R into R iff y*R is inside p*R; a kernel beyond pO
-    # means a strictly larger multiplier ring, i.e. non-maximality
-    return len(_rref(_multiplier_rows(o, p, rad), p, 4)[1]) == 4
+    rad = _p_radical(o, p)
+    assert rad, "p divides disc(O) but O/pO is reduced"
+    B = _radical_basis(rad, p)
+    reg = o.regular
+    # X[u][i] holds the B-coordinates of e_i*E_u, mod p
+    X = []
+    for E in rad:
+        Xu = []
+        for i in range(4):
+            L0, L1, L2, L3 = reg[4 * i : 4 * i + 4]  # e_i*e_m for m in 0..3
+            w = [E[0] * x0 + E[1] * x1 + E[2] * x2 + E[3] * x3 for x0, x1, x2, x3 in zip(L0, L1, L2, L3)]
+            # forward substitution on the upper-triangular B; the division
+            # by a diagonal p is exact because R is an O-module
+            for c in range(4):
+                Bc = B[c]
+                if Bc[c] == 1:
+                    z = w[c]
+                    if z:
+                        for k in range(c + 1, 4):
+                            w[k] -= z * Bc[k]
+                else:
+                    z, rem = divmod(w[c], p)
+                    assert rem == 0
+                w[c] = z % p
+            Xu.append(w)
+        X.append(Xu)
+    # y = sum of l_u*E_u has y*E_s in pR for every s iff l lies in the kernel
+    # of the (4d) x d matrix of coordinate k of E_s*E_u; the order is
+    # p-maximal iff that matrix has rank d
+    rows = [
+        [(Es[0] * Xu[0][k] + Es[1] * Xu[1][k] + Es[2] * Xu[2][k] + Es[3] * Xu[3][k]) % p for Xu in X]
+        for Es in rad
+        for k in range(4)
+    ]
+    d = len(rad)
+    for c in range(d):
+        r = next((r for r, row in enumerate(rows) if row[c]), None)
+        if r is None:
+            return False
+        piv = rows.pop(r)
+        inv = pow(piv[c], p - 2, p)
+        for row in rows:
+            f = row[c] * inv % p
+            if f:
+                for k in range(c + 1, d):
+                    row[k] = (row[k] - f * piv[k]) % p
+    return True

@@ -18,12 +18,12 @@ from .forms import (
     J2,
     J3,
     REFERENCE_J,
-    act_quartic,
     disc_quartic,
     is_primitive_pair,
     jacobian_det,
     m_matrix,
     n_beta,
+    substitute_quartic,
     to_form,
 )
 
@@ -116,7 +116,11 @@ def decompose(F: BinQuartForm, J: BinQuadForm) -> Decomposition:
     """
     if disc_quartic(F) == 0:
         raise ValueError("F must have nonzero discriminant")
-    if act_quartic(F, m_matrix(J)) != F:
+    # fixed means F(M(x, y)) = det(M)^2 * F; comparing before the division
+    # also rejects the forms whose twisted action would not be integral
+    M = m_matrix(J)
+    d2 = M.det() ** 2
+    if substitute_quartic(F, M) != tuple(d2 * a for a in F.coeffs()):
         raise ValueError("F is not fixed by the involution of J")
     basis = w_lattice_basis(J)
     f, g = basis.f, basis.g
@@ -267,8 +271,6 @@ def _integer_kernel(M: list[list[int]]) -> list[list[int]]:
 def _v_lattice_basis(J: BinQuadForm) -> list[BinQuartForm]:
     """Basis of the rank-3 lattice of quartic forms fixed by the involution of
     J, computed from first principles as an integer kernel."""
-    from .forms import substitute_quartic
-
     M = m_matrix(J)
     d2 = M.det() ** 2
     # condition: F(t1 x + t2 y, t3 x + t4 y) - det^2 * F = 0, linear in the a_i

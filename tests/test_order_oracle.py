@@ -8,8 +8,6 @@ from quartic_census.arith import is_square
 from quartic_census.forms import BinQuartForm, FamilyCoords, disc_quartic, to_form
 from quartic_census.order_oracle import (
     QuarticOrderTable,
-    _hnf_rows,
-    _multiplier_rows,
     _p_radical,
     _radical_basis,
     _rref_kernel,
@@ -117,6 +115,135 @@ def test_oracle_verdict_digest():
     assert digest == "f837cae30c3bd076f90ca4d13dd3f54a9ff0f5696b0e47aaeb08fbf82657409d"
 
 
+def test_oracle_verdict_digest_mixed_bases():
+    # one sha256 over the verdict bits of 400 random forms with |coeff| <= 50
+    # (non-monic included) and a mixed-basis copy of each, at every p <= 31;
+    # pinned from the oracle as it stood before the discriminant shortcut and
+    # the multiplier test on the radical, so it holds the new route to the old
+    # verdicts outside the family box
+    r = random.Random(2024)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    bits = bytearray()
+    forms = 0
+    while forms < 400:
+        F = rand_form(50, r)
+        if disc_quartic(F) == 0:
+            continue
+        forms += 1
+        t = order_from_form(F)
+        for table in (t, _mixed_basis(t, 3, r)):
+            for p in primes:
+                bits += b"1" if p_maximality_oracle(table, p) else b"0"
+    assert len(bits) == 8800 and bits.count(b"0") == 410
+    digest = hashlib.sha256(bytes(bits)).hexdigest()
+    assert digest == "61a97040c38096d84bcab8256ade21728c75fd487373f9584db19545065cdcf3"
+
+
+def _hnf_rows(gens):
+    # row HNF basis (4 rows, upper triangular, positive diagonal) of the
+    # lattice generated by the given length-4 integer rows
+    M = [list(g) for g in gens]
+    r = 0
+    for c in range(4):
+        while True:
+            nz = [i for i in range(r, len(M)) if M[i][c] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(M[i][c]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = M[i][c] // M[i0][c]
+                M[i] = [a - q * b for a, b in zip(M[i], M[i0])]
+        nz = [i for i in range(r, len(M)) if M[i][c] != 0]
+        if not nz:
+            continue
+        M[r], M[nz[0]] = M[nz[0]], M[r]
+        if M[r][c] < 0:
+            M[r] = [-x for x in M[r]]
+        for i in range(r):
+            q = M[i][c] // M[r][c]
+            M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+        r += 1
+    assert r == 4, "lattice does not have full rank"
+    return M[:4]
+
+
+def _multiplier_rows(t, p, rad):
+    # the full route over all of O/pO: the 16x4 matrix over F_p whose kernel
+    # is {y in O/pO : y*R inside pR} for R = pO + (lift of rad), with
+    # rows[4*j + k][i] coordinate k of e_i*B_j in the basis B of R, mod p,
+    # through Y = p*B^-1 (integral because pO is inside R)
+    B = _radical_basis(rad, p)
+    Y = []
+    for i in range(4):
+        w = [p if k == i else 0 for k in range(4)]
+        y = [0] * 4
+        for c in range(4):
+            q, rem = divmod(w[c], B[c][c])
+            assert rem == 0
+            y[c] = q
+            if q:
+                for k in range(c + 1, 4):
+                    w[k] -= q * B[c][k]
+        Y.append(y)
+    rows = [[0] * 4 for _ in range(16)]
+    for j in range(4):
+        rows[5 * j][0] = 1  # 1*B_j = B_j has coordinates e_j
+    for i in (1, 2, 3):
+        for j in range(4):
+            w = t.mult([int(i == m) for m in range(4)], B[j])
+            for k in range(4):
+                q, rem = divmod(sum(w[m] * Y[m][k] for m in range(4)), p)
+                assert rem == 0
+                rows[4 * j + k][i] = q % p
+    return rows
+
+
+def test_radical_rank_matches_full_multiplier_rows():
+    # the oracle's rank test on the radical rows alone gives the verdict of
+    # the full route, "the 16x4 multiplier rows have a zero kernel", with
+    # both verdicts seen at every p <= 7 on a nonzero radical
+    r = random.Random(7)
+    seen = {p: set() for p in (2, 3, 5, 7)}
+    forms = 0
+    while forms < 200:
+        F = rand_form(r=r)
+        if disc_quartic(F) == 0:
+            continue
+        forms += 1
+        t = order_from_form(F)
+        for table in (t, _mixed_basis(t, 1, r)):
+            for p in seen:
+                rad = _p_radical(table, p)
+                full = _rref_kernel(_multiplier_rows(table, p, rad), p, 4) == []
+                assert p_maximality_oracle(table, p) == full, (F, p, table)
+                if rad:
+                    seen[p].add(full)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_radical_zero_iff_prime_to_disc():
+    # O/pO is reduced exactly when p does not divide disc(O): the shortcut of
+    # the oracle and the kernel of x -> x^q agree, in a form's own basis and
+    # in a mixed one, at every p <= 31
+    r = random.Random(11)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    zero = nonzero = 0
+    for _ in range(200):
+        F = rand_form(20, r)
+        if disc_quartic(F) == 0:
+            continue
+        t = order_from_form(F)
+        for table in (t, _mixed_basis(t, 1, r)):
+            d = order_disc(table)
+            for p in primes:
+                rad = _p_radical(table, p)
+                assert (rad == []) == (d % p != 0), (F, p, table)
+                zero += not rad
+                nonzero += bool(rad)
+    assert zero > 0 and nonzero > 0
+
+
 def test_radical_ideal_basis():
     # a zero nilradical means R = pO, whose multiplier rows always have rank 4,
     # so the oracle may answer True at once; p not dividing disc gives a zero
@@ -184,6 +311,15 @@ def _rebased(t, i, j, k):
     return QuarticOrderTable(tuple(prods))
 
 
+def _mixed_basis(t, steps, r):
+    # the same ring after `steps` random changes of basis by _rebased
+    for _ in range(steps):
+        i = r.randint(1, 3)
+        j = r.choice([j for j in range(4) if j != i])
+        t = _rebased(t, i, j, r.choice((-2, -1, 1, 2)))
+    return t
+
+
 def test_p_radical_matches_reference():
     # the straight-line mod-p powers and the 3x3 determinant give the same
     # kernel basis as the generic route, at every p <= 31, on random
@@ -200,11 +336,8 @@ def test_p_radical_matches_reference():
         if disc_quartic(F) == 0:
             continue
         forms += 1
-        t = mixed = order_from_form(F)
-        for _ in range(3):
-            i = r.randint(1, 3)
-            j = r.choice([j for j in range(4) if j != i])
-            mixed = _rebased(mixed, i, j, r.choice((-2, -1, 1, 2)))
+        t = order_from_form(F)
+        mixed = _mixed_basis(t, 3, r)
         mixed.validate()
         for p in primes:
             rad = _p_radical(t, p)
@@ -305,9 +438,7 @@ def _in_lattice(vec, gens):
     int_rows = [[int(v * den) for v in row] for row in rows]
     int_t = [int(v * den) for v in target]
     # solve: is int_t in the Z-span of int_rows?
-    from quartic_census.order_oracle import _hnf_rows as hnf
-
-    B = hnf(int_rows)
+    B = _hnf_rows(int_rows)
     z = list(int_t)
     for c in range(4):
         if z[c] % B[c][c]:

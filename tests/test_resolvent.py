@@ -67,6 +67,14 @@ def test_decompose_examples():
         decompose(BinQuartForm(1, 1, 0, 0, 0), J1)  # not fixed / disc 0
 
 
+def test_decompose_rejects_unfixed_form_with_own_error():
+    # the twisted action of the involution of J = 2x^2 - 2xy - 6y^2 on this F
+    # is not integral; decompose must still say that F is not fixed, not
+    # pass on the action's divisibility error
+    with pytest.raises(ValueError, match="^F is not fixed by the involution of J$"):
+        decompose(BinQuartForm(-3, -6, 5, 0, 5), BinQuadForm(2, -2, -6))
+
+
 def test_decompose_round_trip_and_divisibility():
     for _ in range(300):
         J = rand_primitive_j()

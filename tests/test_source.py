@@ -12,11 +12,7 @@ ALLOWED_UNUSED = {
 }
 
 #: (module, name) private helpers kept on purpose without a caller in src/
-ALLOWED_UNCALLED = {
-    # the row HNF is the reference tests/test_order_oracle.py checks the
-    # radical basis against
-    ("order_oracle", "_hnf_rows"),
-}
+ALLOWED_UNCALLED: set[tuple[str, str]] = set()
 
 
 def _scopes(tree):
