@@ -173,17 +173,27 @@ def rational_roots(coeffs) -> list:
 
 
 def det(M) -> int:
-    """Determinant of an n x n integer matrix, n >= 2, by Laplace expansion
-    along the first row."""
-    if len(M) == 2:
-        (a, b), (c, d) = M
-        return a * d - b * c
-    total, sign = 0, 1
-    for j, a in enumerate(M[0]):
-        if a:
-            total += sign * a * det([row[:j] + row[j + 1 :] for row in M[1:]])
-        sign = -sign
-    return total
+    """Determinant of an n x n integer matrix, n >= 2, by fraction-free
+    (Bareiss) elimination: every division is exact, so every entry stays an
+    integer, a minor of M."""
+    A = [list(row) for row in M]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            p = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if p is None:
+                return 0
+            A[k], A[p] = A[p], A[k]
+            sign = -sign
+        rk = A[k]
+        akk = rk[k]
+        for i in range(k + 1, n):
+            ri = A[i]
+            aik = ri[k]
+            # columns up to k are never read again, so they are left stale
+            ri[k + 1 :] = [(akk * ri[j] - aik * rk[j]) // prev for j in range(k + 1, n)]
+        prev = akk
+    return sign * A[-1][-1]
 
 
 def is_squarefree(n: int) -> bool:

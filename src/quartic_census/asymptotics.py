@@ -1,13 +1,15 @@
 """Leading constants and main terms, with every special value computed in
 house: Lanczos gamma on one route, adaptive quadrature on the other.
+
+Only the quadrature routes (`elliptic_integrals`, `preliminary_integrals`)
+load scipy, on their first call; the main terms that a census summary
+prints do not, so a census run never imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.integrate import quad
 
 from .densities import euler_product
 
@@ -50,6 +52,8 @@ def elliptic_integrals() -> tuple[float, float]:
     I+ is folded onto [0,1] by z -> 1/z; I- splits at z = 2 with the
     substitution z = 1 + t^2 absorbing the endpoint singularity.
     """
+    from scipy.integrate import quad
+
     iplus, _ = quad(lambda t: 1.0 / math.sqrt(1.0 + t**4), 0.0, 1.0, epsabs=1e-13)
 
     def near(t: float) -> float:
@@ -71,6 +75,8 @@ def preliminary_integrals(T: float) -> tuple[float, float, float]:
     int_0^1 sqrt(z^4+1), int_1^(sqrt2 T) (sqrt(z^4+1)-z^2), and
     int_1^(sqrt2 T) (sqrt(z^4+1)-sqrt(z^4-1)); each approaches its closed form
     with O(1/T) error."""
+    from scipy.integrate import quad
+
     hi = SQRT2 * T
     v1, _ = quad(lambda z: math.sqrt(z**4 + 1.0), 0.0, 1.0, epsabs=1e-12)
     # difference forms rewritten as reciprocals: exact algebra, no cancellation

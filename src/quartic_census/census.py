@@ -72,6 +72,10 @@ X_PAIR_COST = 3
 CHUNK_CANDIDATES = 1 << 13
 #: Records are formatted and hashed this many CSV rows at a time.
 CSV_CHUNK_ROWS = 1 << 14
+#: Emitted records are kept in blocks of at least this many rows (3.7 MB):
+#: glibc maps blocks that large on their own, so joining them returns their
+#: memory to the OS, where the small block of each pass would stay on the heap.
+RECORD_BLOCK_ROWS = 1 << 16
 
 #: The columns of a record row, in CSV order; the Galois tag, the same for
 #: every record of a run, sits between conductor and r2 in the CSV.
@@ -112,17 +116,34 @@ class CensusConfig:
 class Tallies:
     """Order-independent aggregation of census results.
 
-    Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS;
-    `records` joins them into one array on first use."""
+    Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS.
+    `add_records` gathers the rows of each pass as pending until they make a
+    block of RECORD_BLOCK_ROWS; `records` joins all of them into one array on
+    first use."""
 
     def __init__(self, galois: str):
         self.counts = np.zeros((4, 3), dtype=np.int64)  # [family][r2]
         self.excluded = {"c4": 0, "v4": 0, "reducible": 0, "boundary_orbits": 0}
         self.galois = galois  # the tag of every record
         self.blocks: list[np.ndarray] = []
+        self.pending: list[np.ndarray] = []
+        self.pending_rows = 0
+
+    def add_records(self, rows: np.ndarray) -> None:
+        self.pending.append(rows)
+        self.pending_rows += len(rows)
+        if self.pending_rows >= RECORD_BLOCK_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self.pending:
+            self.blocks.append(np.concatenate(self.pending))
+            self.pending = []
+            self.pending_rows = 0
 
     @property
     def records(self) -> np.ndarray:
+        self._flush()
         if len(self.blocks) != 1:
             # each block is freed once it is copied, so the blocks and the
             # joined table are not held in full at the same time
@@ -140,6 +161,8 @@ class Tallies:
         for k in self.excluded:
             self.excluded[k] += other.excluded[k]
         self.blocks.extend(other.blocks)
+        self.pending.extend(other.pending)
+        self.pending_rows += other.pending_rows
         return self
 
     def total(self, r2: int | None = None) -> int:
@@ -351,7 +374,7 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     if cfg.emit and keep.any():
         k = np.flatnonzero(keep)
         fams = np.full(len(k), fam, dtype=np.int64)
-        tal.blocks.append(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
+        tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
 
 
 def _r2_vec(fam, A, B, C):

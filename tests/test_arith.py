@@ -173,6 +173,36 @@ def test_det_vs_sympy():
                 assert want == 0
 
 
+def _laplace_det(M) -> int:
+    """Reference determinant: Laplace expansion along the first row."""
+    if len(M) == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    total, sign = 0, 1
+    for j, a in enumerate(M[0]):
+        if a:
+            total += sign * a * _laplace_det([row[:j] + row[j + 1 :] for row in M[1:]])
+        sign = -sign
+    return total
+
+
+def test_det_vs_laplace():
+    # zero entries, zero pivots, zero columns and repeated rows exercise the
+    # row swaps and the early zero of the elimination
+    for n in (2, 3, 4, 5):
+        for k in range(400):
+            M = [[rng.choice((0, 0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(n)] for _ in range(n)]
+            if k % 4 == 1:
+                M[rng.randrange(n)] = list(M[rng.randrange(n)])
+            if k % 4 == 2:
+                for row in M:
+                    row[rng.randrange(n)] = 0
+            assert det(M) == _laplace_det(M), M
+        assert det([[0] * n for _ in range(n)]) == 0
+        perm = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
+        assert det(perm) == _laplace_det(perm) == (-1) ** (n * (n - 1) // 2)
+
+
 def test_poly_mul_vs_convolve():
     for _ in range(500):
         u = [rng.choice((0, 0, 1, -2, 5)) for _ in range(rng.randint(1, 6))]

@@ -240,6 +240,36 @@ def test_block_and_chunk_edges(monkeypatch, size):
         assert _hash_2e4(mode) == pinned, mode
 
 
+def test_record_blocks_consolidate(monkeypatch):
+    # passes of at most 16 candidates gathered into blocks of 64 rows, so
+    # that small X make many blocks of several passes each: no output can
+    # change, and a shard keeps full blocks plus at most one partial one
+    from quartic_census import census
+
+    monkeypatch.setattr(census, "CHUNK_CANDIDATES", 16)
+    monkeypatch.setattr(census, "RECORD_BLOCK_ROWS", 64)
+    for mode, pinned in PINNED_HASH_2E4.items():
+        assert _hash_2e4(mode) == pinned, mode
+    cfg, tal = _run_emit(10**5, "conductor", shards=2)
+    assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
+
+    ctx = census._Ctx(CensusConfig(x=20000, emit=True))
+    tal = census._run_shard(ctx, ctx.units(), Tallies("d4"))
+    assert len(tal.blocks) > 10 and all(64 <= len(b) < 64 + 16 for b in tal.blocks)
+    assert tal.pending_rows == sum(len(b) for b in tal.pending) < 64
+    assert len(tal.records) == tal.total() > 0
+    assert len(tal.blocks) == 1 and tal.pending == []
+
+    # merge carries the pending rows of both sides
+    units = ctx.units()
+    parts = [census._run_shard(ctx, units[k::2], Tallies("d4")) for k in (0, 1)]
+    assert parts[0].pending and parts[1].pending
+    merged = parts[0].merge(parts[1])
+    census._sort_records(tal.records)
+    census._sort_records(merged.records)
+    assert (merged.records == tal.records).all()
+
+
 @pytest.mark.parametrize("fam,side", [(1, "x"), (1, "v"), (2, "x"), (2, "v")])
 def test_family_side_forced(monkeypatch, fam, side):
     # every outer value of family 1 or 2 from one side, the x-scan or the

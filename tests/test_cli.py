@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quartic_census
 from quartic_census.cli import main, parse_exact_int, validate_box
 
 
@@ -228,3 +232,26 @@ def test_env_config_precedence(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("QC_SHARDS")
     rc, out = run_cli(capsys, "--config", str(cfg), "census", "conductor", "--x", "500")
     assert rc == 0
+
+
+def test_census_never_imports_scipy():
+    # in a fresh interpreter, so that imports by other tests cannot hide one:
+    # scipy serves only the quadrature routes of asymptotics, and neither a
+    # library census with emit nor the CLI census may load it
+    code = (
+        "import sys\n"
+        "from quartic_census.census import CensusConfig, output_hash, run_census, summarize\n"
+        "cfg = CensusConfig(x=20000, emit=True)\n"
+        "tal = run_census(cfg)\n"
+        "output_hash(summarize(cfg, tal), tal)\n"
+        "assert 'scipy' not in sys.modules, 'library'\n"
+        "from quartic_census.cli import main\n"
+        "assert main(['census', 'conductor', '--x', '20000']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'cli'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QC_")}
+    src = str(Path(quartic_census.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] > 0

@@ -78,6 +78,49 @@ def test_unused_import_scan_sees_local_imports(tmp_path):
     assert sorted(_unused_imports(mod)) == ["mod.py:2 system", "mod.py:3 isqrt", "mod.py:5 loads"]
 
 
+def _module_level_imports(path: Path) -> list[str]:
+    """'file:line package' for every absolute import at module level, that
+    is outside every function and class."""
+    tree = ast.parse(path.read_text())
+    module, imports = _scopes(tree)[-1]
+    assert module is tree
+    out = []
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        else:
+            names = [alias.name for alias in node.names]
+        out += [f"{path.name}:{node.lineno} {name.split('.')[0]}" for name in names]
+    return out
+
+
+def test_no_module_level_scipy():
+    # only the quadrature routes of asymptotics use scipy; imported at module
+    # level it would load with every census run
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 11
+    assert [i for p in files for i in _module_level_imports(p) if i.endswith(" scipy")] == []
+
+
+def test_module_level_import_scan(tmp_path):
+    # the scan itself: plain, dotted, aliased and from-imports at module
+    # level, also inside a try; relative and function-local imports left out
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os.path, numpy as np\n"
+        "from scipy.integrate import quad\n"
+        "from . import sibling\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    from scipy import special\n"
+        "    return special\n"
+    )
+    assert _module_level_imports(mod) == ["mod.py:1 os", "mod.py:1 numpy", "mod.py:2 scipy", "mod.py:5 scipy"]
+
+
 def _referenced(node) -> set[str]:
     """Names a statement refers to: bare names, attributes and imported names."""
     out = set()
