@@ -18,12 +18,18 @@ Both sides test one exact integer band, |x^2 - y| <= _gap(|y|): the v side
 solves it for x, and the table bisects on it for its window endpoints at
 all |x| at once.
 
-Every family runs in blocks of consecutive outer values that close once
-their scan reaches BLOCK_XSCAN; a block turns its pairs into rows of stepped
-ranges (of C or v on the x side, of x on the v side), and the rows are
-expanded into candidates that are classified in chunks of at most
-CHUNK_CANDIDATES.  The v side also solves its pairs in pieces of at most
-CHUNK_CANDIDATES, so a block's memory stays bounded whatever its size.
+The outer values where no candidate can be maximal are skipped before
+either side runs (see _Ctx.units): family-1 A = 0 mod 4 or with an odd part
+that is not squarefree, family-2 u with an odd part that is not squarefree.
+Every family runs in blocks of the remaining outer values, in increasing
+order, that close once their scan reaches BLOCK_XSCAN; a block turns its
+pairs into rows of stepped ranges (of C or v on the x side, of x on the v
+side), and the rows are expanded into candidates that are classified in
+chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
+pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
+whatever its size.  Classification tests maximality cheapest first (see
+_classify_and_tally): the 2-adic clauses, the squarefree lookups, then the
+family-3 depth condition, each on the survivors of the one before.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -305,13 +311,20 @@ class _Ctx:
         return self.sf.lookup(a)
 
     def units(self) -> list[tuple[int, int]]:
+        """The (family, outer value) pairs of the run, less the outer values
+        where every candidate fails the filter: a family-1 A = 0 mod 4 or
+        with an odd part that is not squarefree (A is a coefficient of each
+        candidate there), and a family-2 u with an odd part that is not
+        squarefree (u = 4A - 2B + C on each candidate there)."""
         out = []
         for fam in self.config.families:
             y_eff = self.y_eff[fam]
             if fam == 1:
-                out.extend((1, a) for a in range(1, isqrt(y_eff // 4 or 1) + 1))
+                a = np.arange(1, isqrt(y_eff // 4 or 1) + 1, dtype=np.int64)
+                out.extend((1, v) for v in a[((a & 3) != 0) & self.odd_sf(a)].tolist())
             elif fam == 2:
-                out.extend((2, u) for u in range(1, isqrt(y_eff) + 1))
+                u = np.arange(1, isqrt(y_eff) + 1, dtype=np.int64)
+                out.extend((2, v) for v in u[self.odd_sf(u)].tolist())
             else:
                 out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
         return out
@@ -323,28 +336,30 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
 
     y is the cofactor product (4AC, uv, or u^2+v^2), w = B^2-4AC.  The odd
     primes are handled by squarefree-odd-part tests, p=2 by the clause set;
-    jointly these are exactly global maximality.  The boundary orbits are
-    the pairs C = -A (family 1) and v = -u, that is C = -4A (family 2); the
-    enumeration passes only their canonical member, A < 0 or B < 0.
+    jointly these are exactly global maximality.  The tests run cheapest
+    first, each on the survivors of the one before: the 2-adic clauses, the
+    squarefree lookups, then family 3's depth condition.
+
+    gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
+    puts p^2 in w, which odd_sf(w) rejects, and 2 dividing all three fails
+    the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses too.
+
+    The boundary orbits are the pairs C = -A (family 1) and v = -u, that is
+    C = -4A (family 2); the enumeration passes only their canonical member,
+    A < 0 or B < 0.
     """
-    if len(A) == 0:
-        return
     cfg = ctx.config
-    ok = A != 0
-    ok &= np.gcd(np.gcd(np.abs(A), np.abs(B)), np.abs(C)) == 1
+    A, B, C, y, w = _compact((A != 0) & vec_is_maximal_at(fam, A, B, C, 2), A, B, C, y, w)
+    ok = ctx.odd_sf(w)
     if fam == 1:
-        ok &= (A % 4 != 0) & (C % 4 != 0)
-        ok &= ctx.odd_sf(A) & ctx.odd_sf(C) & ctx.odd_sf(w)
+        ok &= ctx.odd_sf(A) & ctx.odd_sf(C)
     elif fam == 2:
         ok &= ctx.odd_sf(4 * A - 2 * B + C) & ctx.odd_sf(4 * A + 2 * B + C)
-        ok &= ctx.odd_sf(w)
-    else:
-        ok &= ctx.odd_sf(w)
-        ok = _fam3_deep_condition(ctx, y, A, B, C, ok)
-    ok &= vec_is_maximal_at(fam, A, B, C, 2)
-    if not ok.any():
+    A, B, C, y, w = _compact(ok, A, B, C, y, w)
+    if fam == 3:
+        A, B, C, y, w = _compact(_fam3_deep_condition(ctx, y, A, B, C), A, B, C, y, w)
+    if len(A) == 0:
         return
-    A, B, C, y, w = A[ok], B[ok], C[ok], y[ok], w[ok]
 
     conductor = 4 * y * w if fam == 1 else y * w
     disc = conductor * w
@@ -375,6 +390,12 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
         k = np.flatnonzero(keep)
         fams = np.full(len(k), fam, dtype=np.int64)
         tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
+
+
+def _compact(ok, *cols):
+    """The entries of each column where ok holds."""
+    keep = np.flatnonzero(ok)
+    return [c[keep] for c in cols]
 
 
 def _r2_vec(fam, A, B, C):
@@ -409,13 +430,12 @@ def _fam3_type1_pattern(A, B, C):
     return out
 
 
-def _fam3_deep_condition(ctx: _Ctx, y, A, B, C, pre_ok):
+def _fam3_deep_condition(ctx: _Ctx, y, A, B, C):
     """Family-3 odd-prime depth condition on y = (4A-C)^2 + 4B^2: nonzero mod
     p^2 in general, but only mod p^3 at primes dividing both 4A-C and B."""
     yo = y // (y & -y)
-    plain = ctx.sf.lookup(yo)
-    out = pre_ok & plain
-    tricky = np.flatnonzero(pre_ok & ~plain)
+    out = ctx.sf.lookup(yo)
+    tricky = np.flatnonzero(~out)
     if len(tricky):
         A, B, C = A[tricky], B[tricky], C[tricky]
         out[tricky] = _deep_check(ctx, yo[tricky], np.gcd(np.abs(4 * A - C), np.abs(B)))
@@ -758,8 +778,7 @@ def _emit_rows(ctx, emit, batches, tal):
 
 
 def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
-    """Run units into tal, each family in blocks of consecutive outer
-    values."""
+    """Run units into tal, each family in blocks of its outer values."""
     for fam in ctx.config.families:
         outers = [outer for f, outer in units if f == fam]
         unit = (_family1_unit, _family2_unit, _family3_unit)[fam - 1]
@@ -769,10 +788,12 @@ def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
 
 
 def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
-    """Consecutive outer values in blocks that close once their scan reaches
-    BLOCK_XSCAN: its v pairs for a u on the v side, 2*xmax+1 on the x side.
-    Yields (outer values, v-side mask) array pairs; the side of every outer
-    value is picked here, once (family 3 has only the v side)."""
+    """The outer values in the order given, increasing but not consecutive
+    (_Ctx.units leaves out those that cannot pass the filter), in blocks
+    that close once their scan reaches BLOCK_XSCAN: its v pairs for a u on
+    the v side, 2*xmax+1 on the x side.  Yields (outer values, v-side mask)
+    array pairs; the side of every outer value is picked here, once (family
+    3 has only the v side)."""
     u = np.asarray(outers, dtype=np.int64)
     size = _v_pairs(ctx, fam, u)
     vside = np.ones(len(u), dtype=bool)
@@ -921,7 +942,9 @@ def count_v4_by_disc(X: int) -> int:
             continue
         to = np.abs(t)
         to = to // (to & -to)
-        base = sf.lookup(to) & (np.gcd(np.int64(a), b) == 1)
+        # gcd(a, b) = 1 is implied: an odd p | (a, b) puts p^2 in t, and
+        # 2 | (a, b) fails the 2-adic clauses
+        base = sf.lookup(to)
         aA = np.full(len(b), a, dtype=np.int64)
         okp = base & vec_is_maximal_at(1, aA, b, aA, 2)
         okm = base & vec_is_maximal_at(1, aA, -b, aA, 2)

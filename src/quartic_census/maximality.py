@@ -1,8 +1,9 @@
 """Explicit p-maximality criteria for the three families and the global
 maximality decision via discriminant factorization.
 
-All congruences are evaluated on mathematical residues (Python %), never on
-quotients, so negative coefficients behave correctly.
+All congruences are evaluated on mathematical residues (Python %, or the
+low bits at p = 2 in the vectorized form), never on quotients, so negative
+coefficients behave correctly.
 """
 
 from __future__ import annotations
@@ -101,20 +102,22 @@ def vec_is_maximal_at(i: int, A, B, C, p: int):
 
     A, B, C = np.asarray(A), np.asarray(B), np.asarray(C)
     if p == 2:
-        not_all_even = (A % 2 != 0) | (B % 2 != 0) | (C % 2 != 0)
+        # floor-mod by 2^k is the low k bits in two's complement, so the
+        # masks & 1 and & 3 are exact residues of signed integers too
+        not_all_even = ((A | B | C) & 1) != 0
         if i == 1:
-            all_odd = (A % 2 != 0) & (B % 2 != 0) & (C % 2 != 0)
-            odd_case = ((A + B) % 4 == 0) | ((B + C) % 4 == 0)
-            even_case = (A + B + C) % 4 != 0
+            all_odd = (A & B & C & 1) != 0
+            odd_case = (((A + B) & 3) == 0) | (((B + C) & 3) == 0)
+            even_case = ((A + B + C) & 3) != 0
             return (
                 not_all_even
-                & (A % 4 != 0)
-                & (C % 4 != 0)
+                & ((A & 3) != 0)
+                & ((C & 3) != 0)
                 & np.where(all_odd, odd_case, even_case)
             )
-        head = ((2 * B + C) % 4 != 0) if i == 2 else (C % 4 != 0)
-        sub = (C % 2 != 0) & (B % 2 == 0)
-        sub_ok = (A % 4 != 0) & ((A - B + C) % 4 != 0)
+        head = (((2 * B + C) if i == 2 else C) & 3) != 0
+        sub = (C & ~B & 1) != 0  # C odd, B even
+        sub_ok = ((A & 3) != 0) & (((A - B + C) & 3) != 0)
         return not_all_even & head & np.where(sub, sub_ok, True)
     not_all = (A % p != 0) | (B % p != 0) | (C % p != 0)
     p2 = p * p

@@ -317,6 +317,73 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
         assert tie.any() and boundary.any(), mode
 
 
+def test_dropped_filter_tests_stay_implied():
+    # the filter tests neither gcd(A, B, C) = 1 nor, for family 1, A and
+    # C != 0 mod 4: on any coordinates the 2-adic clauses and a squarefree
+    # odd part of w = B^2 - 4AC must imply them.  Seeded triples of both
+    # signs up to 2^30, many scaled by a common factor
+    import numpy as np
+
+    from quartic_census.arith import is_squarefree, odd_part, primes_upto
+    from quartic_census.maximality import vec_is_maximal_at
+
+    seeded = np.random.default_rng(15)
+    odd_squares = [int(p) ** 2 for p in primes_upto(1000)[1:]]
+    n, scales = 3000, (1, 2, 3, 4, 5, 9, 15, 25, 49, 63)
+    for fam in (1, 2, 3):
+        shared = 0
+        for bits, scaled in ((3, True), (10, True), (24, True), (30, False)):
+            g = seeded.choice(scales, size=n) if scaled else 1
+            A, B, C = (seeded.integers(-(1 << bits), 1 << bits, size=n) * g for _ in range(3))
+            two_adic = vec_is_maximal_at(fam, A, B, C, 2)
+            if fam == 1:
+                assert not (two_adic & ((A % 4 == 0) | (C % 4 == 0))).any(), bits
+            common = np.gcd(np.gcd(A, B), C) != 1
+            for a, b, c in zip(*(t[two_adic & common].tolist() for t in (A, B, C))):
+                # w has an odd square factor: a small one, or by factoring
+                w = b * b - 4 * a * c
+                assert any(w % q == 0 for q in odd_squares) or not is_squarefree(odd_part(w)), (fam, a, b, c)
+                shared += 1
+        assert shared > 1000, fam
+
+
+def _unpruned_units(ctx):
+    """Every outer value of every family, including those ctx.units() skips
+    because they cannot pass the filter."""
+    out = []
+    for fam in ctx.config.families:
+        y_eff = ctx.y_eff[fam]
+        if fam == 1:
+            out.extend((1, a) for a in range(1, isqrt(y_eff // 4 or 1) + 1))
+        elif fam == 2:
+            out.extend((2, u) for u in range(1, isqrt(y_eff) + 1))
+        else:
+            out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
+    return out
+
+
+def test_skipped_outer_values_carry_no_field(monkeypatch):
+    # the outer values _Ctx.units leaves out make only candidates that the
+    # filter rejects: running them too changes no output
+    from quartic_census import census
+
+    cfg = CensusConfig(x=10**5, shards=2)
+    ctx = census._Ctx(cfg)
+    pruned, full = ctx.units(), _unpruned_units(ctx)
+    assert set(pruned) < set(full)
+    for fam in (1, 2):
+        assert sum(f == fam for f, _ in pruned) < sum(f == fam for f, _ in full), fam
+    want = {mode: _hash_2e4(mode) for mode in PINNED_HASH_2E4}
+    tal = run_census(cfg)
+    monkeypatch.setattr(census._Ctx, "units", _unpruned_units)
+    assert census._Ctx(cfg).units() == full
+    for mode, pinned in PINNED_HASH_2E4.items():
+        assert _hash_2e4(mode) == want[mode] == pinned, mode
+    unpruned = run_census(cfg)
+    assert (unpruned.counts == tal.counts).all() and unpruned.total() > 0
+    assert unpruned.excluded == tal.excluded
+
+
 def _ragged_reference(starts, counts, step):
     steps = step if isinstance(step, list) else [step] * len(starts)
     return [(k, s + t * j) for k, (s, c, t) in enumerate(zip(starts, counts, steps)) for j in range(c)]

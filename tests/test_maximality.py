@@ -75,6 +75,16 @@ def test_vec_matches_scalar():
         for k in range(0, 64, 7):
             want = is_maximal_at(FamilyCoords(fam, int(A[k]), int(B[k]), int(C[k])), p)
             assert bool(v[k]) == want
+    # p = 2 takes residues by bit mask: every A, B, C in [-16, 16), and the
+    # same residues shifted by +-2^40, where a mask and a floor-mod part
+    # ways if either is wrong for large negatives
+    A, B, C = (t.ravel() for t in np.meshgrid(*[np.arange(-16, 16, dtype=np.int64)] * 3, indexing="ij"))
+    for fam in (1, 2, 3):
+        for shift in (0, 1 << 40, -(1 << 40)):
+            As, Bs, Cs = A + shift, B - shift, C + shift
+            v = vec_is_maximal_at(fam, As, Bs, Cs, 2).tolist()
+            want = [is_maximal_at(FamilyCoords(fam, a, b, c), 2) for a, b, c in zip(As.tolist(), Bs.tolist(), Cs.tolist())]
+            assert v == want, (fam, shift)
 
 
 def test_small_box_oracle_agreement():
