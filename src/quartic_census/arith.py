@@ -221,20 +221,24 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+#: PackedSquarefree sieves this many integers at a time, unpacked.
+SIEVE_CHUNK = 1 << 24
+
+
 class PackedSquarefree:
     """Bit-packed squarefree table supporting vectorized random lookups.
 
-    Memory is limit/8 bytes; built in unpacked chunks so construction stays
-    sieve-speed even at limit ~ 4e8.
+    Memory is limit/8 bytes; built in unpacked chunks of SIEVE_CHUNK so
+    construction stays sieve-speed even at limit ~ 4e8.
     """
 
-    def __init__(self, limit: int, chunk: int = 1 << 24):
+    def __init__(self, limit: int):
         self.limit = limit
         base = primes_upto(isqrt(limit))
         packed = []
         lo = 0
         while lo <= limit:
-            hi = min(lo + chunk, limit + 1)
+            hi = min(lo + SIEVE_CHUNK, limit + 1)
             seg = np.ones(hi - lo, dtype=bool)
             if lo == 0:
                 seg[0] = False
@@ -251,8 +255,11 @@ class PackedSquarefree:
         """Vectorized test; caller guarantees 0 <= n <= limit."""
         return (self._bits[n >> 3] >> (n & 7).astype(np.uint8)) & 1 == 1
 
-    def __getitem__(self, n: int) -> bool:
-        return bool((self._bits[n >> 3] >> (n & 7)) & 1)
+    def odd_squarefree(self, n: np.ndarray) -> np.ndarray:
+        """Vectorized test of the odd part of |n|; caller guarantees
+        0 < |n| <= limit."""
+        a = np.abs(n)
+        return self.lookup(a // (a & -a))  # strip the 2-power
 
 
 def vec_isqrt(n: np.ndarray) -> np.ndarray:

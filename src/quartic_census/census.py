@@ -16,10 +16,12 @@ other two coordinates are enumerated from one of two sides:
 
 Both sides test one exact integer band, |x^2 - y| <= _gap(|y|): the v side
 solves it for x, and the table bisects on it for its window endpoints at
-all |x| at once.
+all |x| at once.  The table also keeps the largest |y| of each window, so
+the x side scans exactly the x whose window reaches the least |y| of the
+outer value (4A^2 or u^2), and the choice of side counts that scan exactly.
 
 The outer values where no candidate can be maximal are skipped before
-either side runs (see _Ctx.units): family-1 A = 0 mod 4 or with an odd part
+either side runs (see _outer_ok): family-1 A = 0 mod 4 or with an odd part
 that is not squarefree, family-2 u with an odd part that is not squarefree.
 Every family runs in blocks of the remaining outer values, in increasing
 order, that close once their scan reaches BLOCK_XSCAN; a block turns its
@@ -28,8 +30,10 @@ side), and the rows are expanded into candidates that are classified in
 chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
 pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
 whatever its size.  Classification tests maximality cheapest first (see
-_classify_and_tally): the 2-adic clauses, the squarefree lookups, then the
-family-3 depth condition, each on the survivors of the one before.
+_classify_and_tally), each test on the survivors of the one before: the
+2-adic clauses; the odd-part squarefree lookups of w = B^2 - 4AC and of
+family 1's C or family 2's 4A + 2B + C (A and 4A - 2B + C are the outer
+value, already passed by _outer_ok); then the family-3 depth condition.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -215,7 +219,6 @@ class _Windows:
     x^2 // (e+1); y = x^2 - t down to past that peak; y = x^2 + t."""
 
     def __init__(self, bound: int, square: bool):
-        self.bound = bound
         # beyond xmax every run is empty: the cheapest admissible point is
         # y = x^2 - 1 with value x^2 - 1 for either exponent; row xmax + 1
         # is built as well to check that
@@ -241,7 +244,10 @@ class _Windows:
         self.neg_hi = neg[:-1]
         self.pos_lo = lo[:, :-1].copy()
         self.pos_hi = hi[:, :-1].copy()
-        self.max_abs_y = int(max(self.neg_hi.max(initial=0), self.pos_hi.max(initial=0)))
+        # the largest |y| of the window at each |x| (0 where it is empty)
+        self.reach = np.maximum(self.neg_hi, self.pos_hi.max(axis=0))
+        self.reach_sorted = np.sort(self.reach)
+        self.max_abs_y = int(self.reach.max(initial=0))
 
     # unused by the engine; perfbench/tracer.py times contains_mask by name
     def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
@@ -304,30 +310,28 @@ class _Ctx:
         self.sf = PackedSquarefree(lim)
         self.deep_primes = _cube_root_primes(self.y_eff.get(3, 0))
 
-    def odd_sf(self, n: np.ndarray) -> np.ndarray:
-        """Squarefree test of the odd part of |n| (entries must be nonzero)."""
-        a = np.abs(n)
-        a = a // (a & -a)  # strip the 2-power
-        return self.sf.lookup(a)
-
     def units(self) -> list[tuple[int, int]]:
-        """The (family, outer value) pairs of the run, less the outer values
-        where every candidate fails the filter: a family-1 A = 0 mod 4 or
-        with an odd part that is not squarefree (A is a coefficient of each
-        candidate there), and a family-2 u with an odd part that is not
-        squarefree (u = 4A - 2B + C on each candidate there)."""
+        """The (family, outer value) pairs of the run: every family-3 u, and
+        the family-1 and family-2 outer values that pass _outer_ok."""
         out = []
         for fam in self.config.families:
             y_eff = self.y_eff[fam]
-            if fam == 1:
-                a = np.arange(1, isqrt(y_eff // 4 or 1) + 1, dtype=np.int64)
-                out.extend((1, v) for v in a[((a & 3) != 0) & self.odd_sf(a)].tolist())
-            elif fam == 2:
-                u = np.arange(1, isqrt(y_eff) + 1, dtype=np.int64)
-                out.extend((2, v) for v in u[self.odd_sf(u)].tolist())
-            else:
+            if fam == 3:
                 out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
+                continue
+            top = isqrt((y_eff // 4 or 1) if fam == 1 else y_eff)
+            u = np.arange(1, top + 1, dtype=np.int64)
+            out.extend((fam, v) for v in u[_outer_ok(self.sf, fam, u)].tolist())
         return out
+
+
+def _outer_ok(sf: PackedSquarefree, fam: int, u: np.ndarray) -> np.ndarray:
+    """Which outer values u > 0 of family 1 or 2 can carry a maximal form:
+    those whose odd part is squarefree, and for family 1 also u != 0 mod 4.
+    On every candidate of outer value u, family 1's A and family 2's
+    4A - 2B + C are +-u, and the filter would reject any other u there."""
+    ok = sf.odd_squarefree(u)
+    return ok & ((u & 3) != 0) if fam == 1 else ok
 
 
 def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
@@ -341,8 +345,12 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     squarefree lookups, then family 3's depth condition.
 
     gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
-    puts p^2 in w, which odd_sf(w) rejects, and 2 dividing all three fails
-    the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses too.
+    puts p^2 in w, whose odd-part test rejects it, and 2 dividing all three
+    fails the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses
+    too.  Family 1's A and family 2's 4A - 2B + C are not looked up either:
+    they are +-u at the outer value u of every candidate, and the units hold
+    only the u that pass _outer_ok.  So the filter is exact on the
+    candidates of those units, not on arbitrary ones.
 
     The boundary orbits are the pairs C = -A (family 1) and v = -u, that is
     C = -4A (family 2); the enumeration passes only their canonical member,
@@ -350,11 +358,12 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     """
     cfg = ctx.config
     A, B, C, y, w = _compact((A != 0) & vec_is_maximal_at(fam, A, B, C, 2), A, B, C, y, w)
-    ok = ctx.odd_sf(w)
+    odd_sf = ctx.sf.odd_squarefree
+    ok = odd_sf(w)
     if fam == 1:
-        ok &= ctx.odd_sf(A) & ctx.odd_sf(C)
+        ok &= odd_sf(C)
     elif fam == 2:
-        ok &= ctx.odd_sf(4 * A - 2 * B + C) & ctx.odd_sf(4 * A + 2 * B + C)
+        ok &= odd_sf(4 * A + 2 * B + C)
     A, B, C, y, w = _compact(ok, A, B, C, y, w)
     if fam == 3:
         A, B, C, y, w = _compact(_fam3_deep_condition(ctx, y, A, B, C), A, B, C, y, w)
@@ -481,21 +490,10 @@ def _branches(w: _Windows, ax):
         yield 1, w.pos_lo[k, ax], w.pos_hi[k, ax]
 
 
-def _pruned_ranges(w: _Windows, outer_sq: int) -> list[tuple[int, int]]:
-    """Ranges [lo, hi] of |x| whose window can reach |y| >= outer_sq
-    (conservative)."""
-    if outer_sq > 1:
-        small = isqrt(4 * w.bound // outer_sq + 4) + 2
-        big_lo = max(isqrt(max(outer_sq - 4 * (w.bound // outer_sq) - 8, 0)) - 2, 0)
-        if small + 1 < big_lo:
-            return [(0, min(small, w.xmax)), (min(big_lo, w.xmax + 1), w.xmax)]
-    return [(0, w.xmax)]
-
-
 def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
-    """Signed x values whose window can reach |y| >= outer_sq (conservative),
-    optionally restricted to x = parity mod 2."""
-    a = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in _pruned_ranges(w, outer_sq)])
+    """Signed x values whose window holds some |y| >= outer_sq, optionally
+    restricted to x = parity mod 2."""
+    a = np.flatnonzero(w.reach >= outer_sq)
     xs = np.concatenate([-a[a > 0][::-1], a])
     if parity is not None:
         xs = xs[(xs & 1) == parity]
@@ -527,12 +525,13 @@ def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
     """Which family-1 or family-2 outer values enumerate from the v side:
     those whose pairs number at most X_PAIR_COST times their x-scan, the
-    signed x of the pruned x-range at the outer square 4A^2 (family 1) or of
-    one parity at u^2 (family 2)."""
+    |x| of _pruned_xs at the outer square 4A^2 (family 1, counted for both
+    signs of x) or u^2 (family 2, where one parity of signed x is scanned)."""
     w = ctx.windows[fam]
+    u = np.asarray(us, dtype=np.int64)
     sq, signs = (4, 2) if fam == 1 else (1, 1)
-    xlen = [signs * sum(hi - lo + 1 for lo, hi in _pruned_ranges(w, sq * u * u)) for u in us]
-    return _v_pairs(ctx, fam, np.asarray(us, dtype=np.int64)) <= X_PAIR_COST * np.asarray(xlen)
+    xlen = len(w.reach_sorted) - np.searchsorted(w.reach_sorted, sq * u * u)
+    return _v_pairs(ctx, fam, u) <= X_PAIR_COST * signs * xlen
 
 
 def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
@@ -815,7 +814,11 @@ _FORK_CTX = None
 
 def _run_shard_fork(units):
     tal = _run_shard(_FORK_CTX, units, Tallies(_FORK_CTX.config.galois))
-    return tal.counts, tal.excluded, tal.records
+    # joined here: sent as blocks, the tables stayed on the parent's heap
+    # after its join (VmHWM 182 against 154 MB, conductor X = 1e7, 2 shards)
+    tal.records
+    # a tuple, as perfbench/tracer.py rebuilds the result of this name as one
+    return (tal,)
 
 
 def run_census(config: CensusConfig) -> Tallies:
@@ -842,11 +845,7 @@ def _run_forked(ctx: _Ctx, units, tal: Tallies) -> None:
     shards = ctx.config.shards
     chunks = [units[k::shards] for k in range(shards)]
     with mp.get_context("fork").Pool(shards) as pool:
-        for counts, excluded, records in pool.map(_run_shard_fork, chunks):
-            part = Tallies(ctx.config.galois)
-            part.counts = counts
-            part.excluded = excluded
-            part.blocks = [records]
+        for (part,) in pool.map(_run_shard_fork, chunks):
             tal.merge(part)
     _FORK_CTX = None
 
@@ -925,12 +924,9 @@ def count_v4_by_disc(X: int) -> int:
     amax = 1
     while 4 * amax * (4 * amax - 1) <= Y:
         amax += 1
-    for a in range(1, amax + 1):
-        if a % 4 == 0:
-            continue
-        a_odd = a // (a & -a)
-        if not sf[a_odd]:
-            continue
+    a_all = np.arange(1, amax + 1, dtype=np.int64)
+    # (a, b, a) is a family-1 form with outer value A = a
+    for a in a_all[_outer_ok(sf, 1, a_all)].tolist():
         K = Y // (4 * a)
         if K < 1:
             continue
@@ -940,11 +936,9 @@ def count_v4_by_disc(X: int) -> int:
         b, t = b[keep], t[keep]
         if len(b) == 0:
             continue
-        to = np.abs(t)
-        to = to // (to & -to)
         # gcd(a, b) = 1 is implied: an odd p | (a, b) puts p^2 in t, and
         # 2 | (a, b) fails the 2-adic clauses
-        base = sf.lookup(to)
+        base = sf.odd_squarefree(t)
         aA = np.full(len(b), a, dtype=np.int64)
         okp = base & vec_is_maximal_at(1, aA, b, aA, 2)
         okm = base & vec_is_maximal_at(1, aA, -b, aA, 2)
@@ -970,9 +964,10 @@ def _act_tuple(co, T):
     return act_quartic(BinQuartForm(*co), GL2Mat(*T)).coeffs()
 
 
-def brute_force_class_oracle(height: int, cap: int | None = None) -> list[dict]:
+def brute_force_class_oracle(height: int) -> list[dict]:
     """Ground-truth class list for tiny boxes: orbits of family forms with
-    coefficients bounded by `height`, grouped by generator BFS within `cap`.
+    coefficients bounded by `height`, grouped by generator BFS over forms
+    with coefficients bounded by 3 * height.
 
     Returns one entry per class: representative family coordinates, Galois
     tag, conductor, disc and r2, with cross-member consistency asserted.
@@ -985,7 +980,7 @@ def brute_force_class_oracle(height: int, cap: int | None = None) -> list[dict]:
     from .maximality import is_maximal
     from .resolvent import conductor_poly
 
-    cap = cap or 3 * height
+    cap = 3 * height
     seeds = []
     for fam in (1, 2, 3):
         for A in range(-height, height + 1):

@@ -307,22 +307,10 @@ def p_maximality_oracle(o: QuarticOrderTable, p: int) -> bool:
         X.append(Xu)
     # y = sum of l_u*E_u has y*E_s in pR for every s iff l lies in the kernel
     # of the (4d) x d matrix of coordinate k of E_s*E_u; the order is
-    # p-maximal iff that matrix has rank d
+    # p-maximal iff that kernel is 0
     rows = [
         [(Es[0] * Xu[0][k] + Es[1] * Xu[1][k] + Es[2] * Xu[2][k] + Es[3] * Xu[3][k]) % p for Xu in X]
         for Es in rad
         for k in range(4)
     ]
-    d = len(rad)
-    for c in range(d):
-        r = next((r for r, row in enumerate(rows) if row[c]), None)
-        if r is None:
-            return False
-        piv = rows.pop(r)
-        inv = pow(piv[c], p - 2, p)
-        for row in rows:
-            f = row[c] * inv % p
-            if f:
-                for k in range(c + 1, d):
-                    row[k] = (row[k] - f * piv[k]) % p
-    return True
+    return not _rref_kernel(rows, p, len(rad))

@@ -79,7 +79,10 @@ def test_squarefree():
     packed = PackedSquarefree(3000)
     idx = np.arange(1, 3001, dtype=np.int64)
     assert (packed.lookup(idx) == sf[1:]).all()
-    assert packed[10] and not packed[12]
+    # the odd part of |n|, for n of both signs and 2-powers stripped
+    n = np.concatenate([-idx, idx, 8 * idx])
+    want = [is_squarefree(odd_part(v)) for v in n.tolist()]
+    assert packed.odd_squarefree(n).tolist() == want and not all(want)
 
 
 def test_odd_part():

@@ -47,6 +47,7 @@ def _check_windows(bound, square, xlim):
             assert w.pos_lo[k, x] >= 1, (bound, e, x)
             got |= (w.pos_lo[k, x] <= y) & (y <= w.pos_hi[k, x])
         assert np.array_equal(got, want), (bound, e, x)
+        assert w.reach[x] == np.abs(y[want]).max(initial=0), (bound, e, x)
 
 
 def test_windows_exhaustive():
@@ -363,25 +364,63 @@ def _unpruned_units(ctx):
 
 
 def test_skipped_outer_values_carry_no_field(monkeypatch):
-    # the outer values _Ctx.units leaves out make only candidates that the
-    # filter rejects: running them too changes no output
+    # the filter does not test family 1's A or family 2's 4A - 2B + C, the
+    # outer value up to sign, so _Ctx.units must leave out exactly the outer
+    # values without a maximal form: an unpruned run adds the rows whose
+    # outer value fails _outer_ok, none of them maximal, and no other row
+    import numpy as np
+
     from quartic_census import census
 
-    cfg = CensusConfig(x=10**5, shards=2)
+    cfg = CensusConfig(x=10**5, shards=2, emit=True)
     ctx = census._Ctx(cfg)
     pruned, full = ctx.units(), _unpruned_units(ctx)
     assert set(pruned) < set(full)
     for fam in (1, 2):
         assert sum(f == fam for f, _ in pruned) < sum(f == fam for f, _ in full), fam
-    want = {mode: _hash_2e4(mode) for mode in PINNED_HASH_2E4}
     tal = run_census(cfg)
     monkeypatch.setattr(census._Ctx, "units", _unpruned_units)
     assert census._Ctx(cfg).units() == full
-    for mode, pinned in PINNED_HASH_2E4.items():
-        assert _hash_2e4(mode) == want[mode] == pinned, mode
-    unpruned = run_census(cfg)
-    assert (unpruned.counts == tal.counts).all() and unpruned.total() > 0
-    assert unpruned.excluded == tal.excluded
+    unpruned = run_census(cfg).records
+    fam, A, B, C = unpruned[:, :4].T
+    outer = np.abs(np.where(fam == 1, A, 4 * A - 2 * B + C))
+    skipped = np.zeros(len(unpruned), dtype=bool)
+    for f in (1, 2):
+        skipped[fam == f] = ~census._outer_ok(ctx.sf, f, outer[fam == f])
+    assert np.array_equal(unpruned[~skipped], tal.records) and len(tal.records) > 0
+    extra = unpruned[skipped, :4].tolist()
+    assert {row[0] for row in extra} == {1, 2}
+    for row in extra:
+        assert not is_maximal(FamilyCoords(*row)).is_maximal, row
+
+
+def test_pruned_xs_keeps_every_row():
+    # the x side scans only _pruned_xs at each outer value: every x with a
+    # nonempty row of _family1_rows or _family2_rows at any outer value must
+    # be among them (x of u's parity for family 2), and some x are pruned
+    import numpy as np
+
+    from quartic_census import census
+
+    for mode in ("conductor", "discriminant"):
+        ctx = census._Ctx(CensusConfig(x=20000, mode=mode))
+        for fam, rows_of in ((1, census._family1_rows), (2, census._family2_rows)):
+            w = ctx.windows[fam]
+            outers = np.array([u for f, u in _unpruned_units(ctx) if f == fam], dtype=np.int64)
+            x = np.arange(-w.xmax, w.xmax + 1, dtype=np.int64)
+            u, xs = np.repeat(outers, len(x)), np.tile(x, len(outers))
+            if fam == 2:
+                u, xs = u[(u - xs) % 2 == 0], xs[(u - xs) % 2 == 0]
+            # row columns: the signed outer value, x, start, count, step
+            rows = list(rows_of(w, u, xs))
+            row_u = np.abs(np.concatenate([r[0] for r in rows]))
+            row_x = np.concatenate([r[1] for r in rows])
+            scanned = 0
+            for a in outers.tolist():
+                pruned = census._pruned_xs(w, (4 if fam == 1 else 1) * a * a, None if fam == 1 else a & 1)
+                assert np.isin(row_x[row_u == a], pruned).all(), (mode, fam, a)
+                scanned += len(pruned)
+            assert len(row_x) > 0 and scanned < len(xs), (mode, fam)
 
 
 def _ragged_reference(starts, counts, step):

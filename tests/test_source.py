@@ -1,9 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quartic_census
 
 SRC = Path(quartic_census.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: (module, name) pairs imported on purpose without being used
 ALLOWED_UNUSED = {
@@ -178,3 +182,14 @@ def test_dead_helper_scan(tmp_path):
     )
     files = sorted(tmp_path.glob("*.py"))
     assert _dead_helpers(files) == ["a.py _dead", "a.py _recursive"]
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps engine functions and methods by name, so a
+    # rename or a deletion in src/ must fail here, not only in a traced
+    # benchmark run; in a fresh interpreter, as install() patches modules
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH), str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import tracer\ntracer.install()\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
