@@ -37,13 +37,17 @@ value, already passed by _outer_ok); then the family-3 depth condition.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
-the side chosen for an outer value can change any output.
+the side chosen for an outer value can change any output.  Shard 0 runs in
+the calling process and every other shard in a forked child that pickles
+its tallies back through a pipe (see _run_forked).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 from dataclasses import dataclass
 from math import isqrt
 
@@ -60,7 +64,7 @@ X_MAX_CONDUCTOR = 250_000_000
 X_MAX_DISC = 200_000_000
 #: count_v4_by_disc sieves up to sqrt(X): a 12.5 MB table at this cap.
 X_MAX_V4_COUNT = 10**16
-#: Every shard is a forked process; more are refused.
+#: Every shard but the first is a forked process; more are refused.
 SHARDS_MAX = 64
 
 #: A block of outer values closes once its scan, 2*xmax+1 per value on the
@@ -809,6 +813,8 @@ def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
         yield u[start:], vside[start:]
 
 
+#: The context of the shards being forked; _run_shard_fork reads it in the
+#: children, whose only argument is their units.
 _FORK_CTX = None
 
 
@@ -835,19 +841,90 @@ def run_census(config: CensusConfig) -> Tallies:
 
 
 def _run_forked(ctx: _Ctx, units, tal: Tallies) -> None:
-    """Run units on config.shards forked processes, by stride, into tal.  The
-    shard results are dropped on return, so tal holds the only reference to
-    each shard's table."""
-    import multiprocessing as mp
+    """Run units by stride on config.shards processes into tal: shard 0 in
+    this process, every other shard in a forked child (see _shard_child)
+    that pickles its result into a pipe.  The children's results are read,
+    the children reaped and the results merged in shard order; a child's
+    exception is raised here.  Whatever ends the call, no child outlives it:
+    those not yet reaped are killed and reaped on the way out.  The results
+    are dropped on return, so tal holds the only reference to each table."""
+    import signal  # imported here, as a census on one shard does not need it
 
     global _FORK_CTX
-    _FORK_CTX = ctx
     shards = ctx.config.shards
     chunks = [units[k::shards] for k in range(shards)]
-    with mp.get_context("fork").Pool(shards) as pool:
-        for (part,) in pool.map(_run_shard_fork, chunks):
-            tal.merge(part)
-    _FORK_CTX = None
+    live = {}  # pid -> read end of its pipe, for every child not yet reaped
+    _FORK_CTX = ctx
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _shard_child(chunk, w, [r, *(fh.fileno() for fh in live.values())])
+            os.close(w)
+            live[pid] = os.fdopen(r, "rb")
+        _run_shard(ctx, chunks[0], tal)
+        for k, (pid, fh) in enumerate(list(live.items()), 1):
+            try:
+                # unpickled from the stream: each table is read straight
+                # into its own buffer, with no copy of the pickled bytes
+                msg = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                msg = None
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            if msg is None:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"shard {k} exited with status {code} and no result")
+            ok, value = msg
+            if not ok:
+                raise value
+            tal.merge(value[0])
+    finally:
+        _FORK_CTX = None
+        for pid, fh in live.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _shard_child(units, w: int, inherited: list[int]) -> None:
+    """The body of a forked shard child: it runs _run_shard_fork (looked up
+    as a module global, so a wrapper of that name runs too) and pickles
+    (True, result) or (False, exception) into the pipe w.  An exception that
+    does not survive pickling is sent as a RuntimeError with its traceback.
+    It first closes the read ends it inherited, its own among them, so that
+    if the parent dies a full pipe fails its write instead of blocking it
+    for good.  The child always ends in os._exit, so nothing of the
+    parent's stack (finally blocks, atexit handlers, buffered output) runs
+    in it."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(w, "wb") as out:
+            try:
+                result = _run_shard_fork(units)
+            except BaseException as exc:  # sent to the parent, whatever it is
+                out.write(_pickled_error(exc))
+            else:
+                pickle.dump((True, result), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    import traceback
+
+    try:
+        data = pickle.dumps((False, exc))
+        pickle.loads(data)
+    except Exception:
+        text = "".join(traceback.format_exception(exc))
+        data = pickle.dumps((False, RuntimeError(f"shard child failed:\n{text}")))
+    return data
 
 
 def _sort_records(rec: np.ndarray) -> None:

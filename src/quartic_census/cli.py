@@ -9,6 +9,7 @@ accepted when integral).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -39,6 +40,15 @@ def _usage_error(message: str):
     no traceback."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _open_for_write(path: str, what: str):
+    """path opened for writing as text, or a usage error naming the option
+    what that gave it."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        _usage_error(f"cannot write {what} file {path!r}: {exc.strerror}")
 
 
 def _parse_arg(parse, text: str, what: str):
@@ -83,7 +93,7 @@ def _load_config_file(path: str | None) -> dict:
     return out
 
 
-def _write_manifest(path: str, command: str, config: dict, wall: float, hashes: dict):
+def _write_manifest(fh, command: str, config: dict, wall: float, hashes: dict):
     import numpy
 
     manifest = {
@@ -98,9 +108,8 @@ def _write_manifest(path: str, command: str, config: dict, wall: float, hashes: 
         "shards": config.get("shards", 1),
         "output_hashes": hashes,
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json.dump(manifest, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _flatten(payload: dict, prefix="") -> dict:
@@ -114,24 +123,18 @@ def _flatten(payload: dict, prefix="") -> dict:
     return out
 
 
-def _emit(payload: dict, fmt: str, out: str):
+def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        import csv as _csv
-        import io
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    import csv as _csv
+    import io
 
-        flat = _flatten(payload)
-        buf = io.StringIO()
-        wr = _csv.writer(buf)
-        wr.writerow(flat)
-        wr.writerow([v if not isinstance(v, (list, dict)) else json.dumps(v) for v in flat.values()])
-        text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    flat = _flatten(payload)
+    buf = io.StringIO()
+    wr = _csv.writer(buf)
+    wr.writerow(flat)
+    wr.writerow([v if not isinstance(v, (list, dict)) else json.dumps(v) for v in flat.values()])
+    return buf.getvalue()
 
 
 def cmd_classify(args, globals_) -> dict:
@@ -283,11 +286,7 @@ def cmd_densities(args, globals_) -> dict:
         rows.append(DensityTable("rho_v4", None, p, r, p**4).csv_row(closed))
         mismatch += r != closed
     csv = "kind,a,m,rho,space,closed_form,match\n" + "\n".join(rows) + "\n"
-    if globals_["out"]:
-        with open(globals_["out"], "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    # main writes the table in place of the summary
     return {"rows": len(rows), "closed_form_mismatches": mismatch, "_csv": csv}
 
 
@@ -312,14 +311,13 @@ def cmd_census(args, globals_) -> dict:
         )
     except ValueError as exc:
         _usage_error(str(exc))
-    tal = run_census(cfg)
-    summary = summarize(cfg, tal)
-    if args.emit:
-        # the CSV is written and hashed in one pass
-        with open(args.emit, "w") as fh:
-            summary["output_hash"] = output_hash(summary, tal, out=fh)
-    else:
-        summary["output_hash"] = output_hash(summary)
+    # the --emit file is opened before the census runs, so a bad path fails
+    # at once; the CSV is written and hashed in one pass
+    emit = _open_for_write(args.emit, "--emit") if args.emit else contextlib.nullcontext()
+    with emit as fh:
+        tal = run_census(cfg)
+        summary = summarize(cfg, tal)
+        summary["output_hash"] = output_hash(summary, tal if fh else None, out=fh)
     return summary
 
 
@@ -440,31 +438,37 @@ def main(argv=None) -> int:
     }
     if globals_["format"] not in ("csv", "json"):
         _usage_error(f"format must be csv or json, got {globals_['format']!r}")
-    t0 = time.time()
-    payload = args.fn(args, globals_)
-    wall = time.time() - t0
-    csv_blob = payload.pop("_csv", None)
-    if csv_blob is None:
-        _emit(payload, globals_["format"], globals_["out"])
-    if globals_["manifest"]:
-        import hashlib
+    with contextlib.ExitStack() as files:
+        # opened before the command runs, so a path that cannot be written
+        # fails at once, not after the work
+        out, manifest = (
+            files.enter_context(_open_for_write(globals_[name], f"--{name}")) if globals_[name] else None
+            for name in ("out", "manifest")
+        )
+        t0 = time.time()
+        payload = args.fn(args, globals_)
+        wall = time.time() - t0
+        csv_blob = payload.pop("_csv", None)
+        (out or sys.stdout).write(_render(payload, globals_["format"]) if csv_blob is None else csv_blob)
+        if manifest:
+            import hashlib
 
-        hashes = {"summary": hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()}
-        if csv_blob is not None:
-            hashes["csv"] = hashlib.sha256(csv_blob.encode()).hexdigest()
-        config_echo = dict(globals_)
-        config_echo.update(
-            {k: v for k, v in vars(args).items() if k not in ("fn",) and v is not None}
-        )
-        _write_manifest(
-            globals_["manifest"],
-            args.cmd,
-            {k: str(v) for k, v in config_echo.items()},
-            wall,
-            hashes,
-        )
+            hashes = {"summary": hashlib.sha256(
+                json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest()}
+            if csv_blob is not None:
+                hashes["csv"] = hashlib.sha256(csv_blob.encode()).hexdigest()
+            config_echo = dict(globals_)
+            config_echo.update(
+                {k: v for k, v in vars(args).items() if k not in ("fn",) and v is not None}
+            )
+            _write_manifest(
+                manifest,
+                args.cmd,
+                {k: str(v) for k, v in config_echo.items()},
+                wall,
+                hashes,
+            )
     return 0
 
 

@@ -1,4 +1,6 @@
+import os
 import random
+import signal
 from math import isqrt
 
 import pytest
@@ -177,10 +179,85 @@ def _hash_2e4(mode, shards=1):
 
 def test_shard_invariance():
     for mode, pinned in PINNED_HASH_2E4.items():
-        for shards in (1, 2, 3):
+        for shards in (1, 2, 3, 4):
             assert _hash_2e4(mode, shards) == pinned, (mode, shards)
     cfg, tal = _run_emit(10**5, "conductor", shards=2)
     assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
+
+
+class TwoArgError(Exception):
+    """Pickles, but its unpickling calls TwoArgError(message) and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _assert_no_child_left():
+    # neither a running child nor a zombie: waitpid has nothing to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def alarm():
+    # a hang in the shard path fails the test instead of the whole run
+    def hang(signum, frame):
+        raise TimeoutError("the shard path hung")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_forked_shard_failures(monkeypatch, alarm):
+    # each failure is raised in the parent, and no child outlives run_census;
+    # with 3 shards, the second child is still unreaped when the first fails
+    from quartic_census import census
+
+    cfg = CensusConfig(x=20000, shards=3, emit=True)
+    run_census(cfg)
+    _assert_no_child_left()
+    parent = os.getpid()
+    real = census._run_shard_fork
+
+    class LocalError(Exception):
+        pass  # defined in a function, so it cannot be pickled by name
+
+    def shard(units):
+        # a child raises the failure of the case, or exits with it if an int
+        if os.getpid() != parent:
+            if isinstance(failure, int):
+                os._exit(failure)
+            raise failure
+        return real(units)
+
+    monkeypatch.setattr(census, "_run_shard_fork", shard)
+    cases = [
+        (ValueError("shard failed on purpose"), ValueError, "shard failed on purpose"),
+        (3, RuntimeError, "shard 1 exited with status 3 and no result"),
+        (LocalError("local failure"), RuntimeError, "(?s)shard child failed.*LocalError: local failure"),
+        (TwoArgError("one", "two"), RuntimeError, "(?s)shard child failed.*TwoArgError: one and two"),
+    ]
+    for failure, exc_type, message in cases:
+        with pytest.raises(exc_type, match=message):
+            run_census(cfg)
+        _assert_no_child_left()
+    monkeypatch.setattr(census, "_run_shard_fork", real)
+
+    # an error in the parent's own shard: the children are killed and reaped
+    real_run_shard = census._run_shard
+
+    def parent_fails(ctx, units, tal):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_run_shard(ctx, units, tal)
+
+    monkeypatch.setattr(census, "_run_shard", parent_fails)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(cfg)
+    _assert_no_child_left()
 
 
 def test_records_agree_with_tallies():

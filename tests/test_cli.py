@@ -102,11 +102,18 @@ def test_validate_rejects_empty_box(capsys, argv):
         [{"config": "shards\n"}, "family", "1,0,0,0,1"],
         [{"config": "format=xml\n"}, "family", "1,0,0,0,1"],
         [{"env": {"QC_FORMAT": "xml"}}, "family", "1,0,0,0,1"],
+        [{"no_census": True}, "census", "conductor", "--x", "1000", "--emit", "{missing}/out.csv"],
+        [{"no_census": True}, "--out", "{missing}/x.json", "census", "conductor", "--x", "1000"],
+        [{"no_census": True}, "--manifest", "{missing}/m.json", "census", "conductor", "--x", "1000"],
+        ["--out", "{missing}/d.csv", "densities", "--a-bound", "1", "--primes", "2"],
     ],
 )
 def test_bad_input_is_one_line(capsys, tmp_path, monkeypatch, argv):
     # a leading dict sets bad global settings: "config", the text of a config
-    # file (None: a path with no file), or "env", environment variables
+    # file (None: a path with no file), "env", environment variables, or
+    # "no_census", a census that fails if it runs (an output file that cannot
+    # be written must fail before the work); {missing} is a missing directory
+    argv = [a.format(missing=tmp_path / "no" / "dir") if isinstance(a, str) else a for a in argv]
     if isinstance(argv[0], dict):
         settings, argv = argv[0], argv[1:]
         if "config" in settings:
@@ -116,6 +123,13 @@ def test_bad_input_is_one_line(capsys, tmp_path, monkeypatch, argv):
             argv = ["--config", str(path), *argv]
         for name, value in settings.get("env", {}).items():
             monkeypatch.setenv(name, value)
+        if settings.get("no_census"):
+            from quartic_census import census
+
+            def never(config):
+                raise AssertionError("the census ran before its output files were opened")
+
+            monkeypatch.setattr(census, "run_census", never)
     assert_one_line_error(capsys, argv)
 
 
@@ -234,8 +248,16 @@ def test_env_config_precedence(capsys, tmp_path, monkeypatch):
     assert rc == 0
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, so that imports by other tests
+    cannot hide one, with no QC_ settings."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QC_")}
+    src = str(Path(quartic_census.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_census_never_imports_scipy():
-    # in a fresh interpreter, so that imports by other tests cannot hide one:
     # scipy serves only the quadrature routes of asymptotics, and neither a
     # library census with emit nor the CLI census may load it
     code = (
@@ -249,9 +271,21 @@ def test_census_never_imports_scipy():
         "assert main(['census', 'conductor', '--x', '20000']) == 0\n"
         "assert 'scipy' not in sys.modules, 'cli'\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QC_")}
-    src = str(Path(quartic_census.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["total"] > 0
+
+
+def test_sharded_census_never_imports_multiprocessing():
+    # the shards are plain forked children with a pipe each, so a sharded
+    # census does not pay for the multiprocessing import
+    code = (
+        "import sys\n"
+        "from quartic_census.census import CensusConfig, output_hash, run_census, summarize\n"
+        "cfg = CensusConfig(x=20000, shards=2, emit=True)\n"
+        "tal = run_census(cfg)\n"
+        "output_hash(summarize(cfg, tal), tal)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr

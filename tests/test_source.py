@@ -187,9 +187,18 @@ def test_dead_helper_scan(tmp_path):
 def test_benchmark_tracer_installs():
     # perfbench/tracer.py wraps engine functions and methods by name, so a
     # rename or a deletion in src/ must fail here, not only in a traced
-    # benchmark run; in a fresh interpreter, as install() patches modules
+    # benchmark run; in a fresh interpreter, as install() patches modules.
+    # A traced 2-shard census must hand back the span of its forked shard,
+    # whose id carries the child's pid
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH), str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import tracer\ntracer.install()\n"
+    code = (
+        "import os, tracer\n"
+        "t = tracer.install()\n"
+        "from quartic_census import census\n"
+        "census.run_census(census.CensusConfig(x=20000, shards=2, emit=True))\n"
+        "pids = {s[0] >> 32 for s in t.spans if s[2] == 'census.shard'}\n"
+        "assert pids and os.getpid() not in pids, pids\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
