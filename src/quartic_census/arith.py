@@ -259,7 +259,7 @@ class PackedSquarefree:
         """Vectorized test of the odd part of |n|; caller guarantees
         0 < |n| <= limit."""
         a = np.abs(n)
-        return self.lookup(a // (a & -a))  # strip the 2-power
+        return self.lookup(a >> np.bitwise_count((a & -a) - 1))  # strip the 2-power
 
 
 def vec_isqrt(n: np.ndarray) -> np.ndarray:

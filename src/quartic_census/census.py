@@ -84,8 +84,12 @@ X_PAIR_COST = 3
 #: bounds the size of their temporaries (2^15 pairs per band pass raised
 #: the peak RSS of a shard at conductor X = 3e5 by 1.2 MB, at equal speed).
 CHUNK_CANDIDATES = 1 << 13
-#: Records are formatted and hashed this many CSV rows at a time.
-CSV_CHUNK_ROWS = 1 << 14
+#: Records are formatted and hashed this many CSV rows at a time.  The
+#: formatter's temporaries are a few times the chunk's size: on the
+#: cond-emit benchmark (conductor X ~ 3e5, 2 shards, 2-vCPU VM) the median
+#: peak RSS was 79.7 MB at 2^12, 80.9 MB at 2^13 and 84.2 MB at 2^14
+#: (79.6 MB with the % formatter at 2^14), at equal speed within noise.
+CSV_CHUNK_ROWS = 1 << 12
 #: Emitted records are kept in blocks of at least this many rows (3.7 MB):
 #: glibc maps blocks that large on their own, so joining them returns their
 #: memory to the OS, where the small block of each pass would stay on the heap.
@@ -446,7 +450,7 @@ def _fam3_type1_pattern(A, B, C):
 def _fam3_deep_condition(ctx: _Ctx, y, A, B, C):
     """Family-3 odd-prime depth condition on y = (4A-C)^2 + 4B^2: nonzero mod
     p^2 in general, but only mod p^3 at primes dividing both 4A-C and B."""
-    yo = y // (y & -y)
+    yo = y >> np.bitwise_count((y & -y) - 1)
     out = ctx.sf.lookup(yo)
     tricky = np.flatnonzero(~out)
     if len(tricky):
@@ -1133,19 +1137,51 @@ def brute_force_class_oracle(height: int) -> list[dict]:
 # output helpers
 
 
+def _csv_rows(chunk: np.ndarray, seps: list[bytes]) -> bytes:
+    """The rows of chunk, a nonempty (n, k) int64 array, as ASCII CSV: each
+    value in decimal followed by its column's separator in seps.
+
+    The bytes are built column by column in a (width, n) uint8 matrix: per
+    column, a sign row if it holds a negative value, one row per digit of its
+    largest magnitude, and its separator.  A 0 byte marks what a row leaves
+    out (the sign of a value >= 0, a leading zero), so the rows, in order,
+    are the nonzero bytes of the transposed matrix."""
+    plan = []
+    for col, sep in zip(chunk.T.copy(), seps):
+        lo, hi = int(col.min()), int(col.max())
+        assert lo > -(1 << 63), "-2**63 has no int64 magnitude"
+        plan.append((col, lo < 0, len(str(max(hi, -lo))), sep))
+    M = np.empty((sum(neg + d + len(sep) for _, neg, d, sep in plan), len(chunk)), np.uint8)
+    r = 0
+    for col, neg, d, sep in plan:
+        if neg:
+            np.multiply(col < 0, ord("-"), out=M[r], casting="unsafe")
+            r += 1
+        m = np.abs(col)
+        q = m // 10
+        M[r + d - 1] = m - 10 * q + 48  # the units digit, kept for 0 too
+        for j in range(r + d - 2, r - 1, -1):
+            m, q = q, q // 10
+            M[j] = (m - 10 * q + 48) * (m != 0)
+        r += d
+        M[r : r + len(sep)] = np.frombuffer(sep, np.uint8)[:, None]
+        r += len(sep)
+    rows = M.T.ravel()
+    return np.compress(rows != 0, rows).tobytes()
+
+
 def _csv_chunks(tal: Tallies):
-    """The records CSV in pieces: the header, then at most CSV_CHUNK_ROWS
-    rows per piece."""
-    yield "family,A,B,C,disc,conductor,galois,r2\n"
+    """The records CSV as ASCII bytes in pieces: the header, then at most
+    CSV_CHUNK_ROWS rows per piece."""
+    yield b"family,A,B,C,disc,conductor,galois,r2\n"
     rec = tal.records
-    row = "%d,%d,%d,%d,%d,%d," + tal.galois + ",%d\n"
+    seps = [b","] * 5 + [b",%s," % tal.galois.encode(), b"\n"]
     for lo in range(0, len(rec), CSV_CHUNK_ROWS):
-        chunk = rec[lo : lo + CSV_CHUNK_ROWS]
-        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+        yield _csv_rows(rec[lo : lo + CSV_CHUNK_ROWS], seps)
 
 
 def records_csv(tal: Tallies) -> str:
-    return "".join(_csv_chunks(tal))
+    return b"".join(_csv_chunks(tal)).decode("ascii")
 
 
 def summary_json(summary: dict) -> str:
@@ -1154,14 +1190,14 @@ def summary_json(summary: dict) -> str:
 
 def output_hash(summary: dict, tal: Tallies | None = None, out=None) -> str:
     """sha256 of the summary JSON, followed by the records CSV if there are
-    records.  With `out`, a text file, the CSV is written to it in the same
-    pass (header included when there are no records)."""
+    records.  With `out`, a binary file, the CSV is written to it in the same
+    pass, as the bytes hashed (header included when there are no records)."""
     h = hashlib.sha256(summary_json(summary).encode())
     if tal is not None:
         hashed = len(tal.records) > 0
         for chunk in _csv_chunks(tal):
             if hashed:
-                h.update(chunk.encode())
+                h.update(chunk)
             if out is not None:
                 out.write(chunk)
     return h.hexdigest()

@@ -42,11 +42,11 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _open_for_write(path: str, what: str):
-    """path opened for writing as text, or a usage error naming the option
-    what that gave it."""
+def _open_for_write(path: str, what: str, mode: str = "w"):
+    """path opened for writing in mode, text by default, or a usage error
+    naming the option what that gave it."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         _usage_error(f"cannot write {what} file {path!r}: {exc.strerror}")
 
@@ -312,8 +312,8 @@ def cmd_census(args, globals_) -> dict:
     except ValueError as exc:
         _usage_error(str(exc))
     # the --emit file is opened before the census runs, so a bad path fails
-    # at once; the CSV is written and hashed in one pass
-    emit = _open_for_write(args.emit, "--emit") if args.emit else contextlib.nullcontext()
+    # at once; the CSV is written and hashed in one pass, as the same bytes
+    emit = _open_for_write(args.emit, "--emit", "wb") if args.emit else contextlib.nullcontext()
     with emit as fh:
         tal = run_census(cfg)
         summary = summarize(cfg, tal)

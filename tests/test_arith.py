@@ -83,6 +83,12 @@ def test_squarefree():
     n = np.concatenate([-idx, idx, 8 * idx])
     want = [is_squarefree(odd_part(v)) for v in n.tolist()]
     assert packed.odd_squarefree(n).tolist() == want and not all(want)
+    # every shift of the strip: 2^k up to 2^62, and odd * 2^k below 2^63
+    odd = idx[::2]
+    for k in range(63):
+        o = odd[odd < 2 ** (63 - k)]
+        for sign in (1, -1):
+            assert (packed.odd_squarefree(sign * (o << k)) == sf[o]).all(), (k, sign)
 
 
 def test_odd_part():

@@ -818,3 +818,65 @@ def test_csv_and_summary_output():
     assert set(s["counts"]) == {"r2_0", "r2_1", "r2_2"}
     assert s["ratio"] == s["total"] / s["main_term"]
     assert set(s["excluded"]) == {"c4", "v4", "reducible", "boundary_orbits"}
+
+
+def _csv_reference(tal: Tallies) -> str:
+    """The records CSV from one Python % format per row, as it was formatted
+    before the numpy formatter: the reference that must match it byte for
+    byte."""
+    row = "%d,%d,%d,%d,%d,%d," + tal.galois + ",%d\n"
+    return "family,A,B,C,disc,conductor,galois,r2\n" + "".join(row % tuple(r) for r in tal.records.tolist())
+
+
+def _random_records(seed: int, n: int):
+    """n seeded int64 record rows of every width from 1 to 19 digits: column
+    0 never negative, the others of both signs, with rows of 0 and of
+    +-(2^63 - 1) among them."""
+    import numpy as np
+
+    g = np.random.default_rng(seed)
+    width = g.integers(1, 20, (n, 7))
+    lo = np.array([0, 0] + [10 ** (w - 1) for w in range(2, 20)], dtype=np.int64)
+    hi = np.array([0] + [10**w - 1 for w in range(1, 19)] + [2**63 - 1], dtype=np.int64)
+    rows = g.integers(lo[width], hi[width], endpoint=True)
+    rows[:, 1:] *= g.choice([-1, 1], (n, 6))
+    rows[g.integers(0, n, 20)] = 0
+    rows[g.integers(0, n, 20)] = 2**63 - 1
+    rows[g.integers(0, n, 20), 1:] = -(2**63 - 1)
+    return rows
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, 4097, None])
+def test_csv_formatter_matches_reference(monkeypatch, rows_per_chunk):
+    # the numpy formatter against one % format per row, chunk edges
+    # included; output_hash writes the same bytes it hashes
+    import hashlib
+    import io
+
+    import numpy as np
+
+    from quartic_census import census
+
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(census, "CSV_CHUNK_ROWS", rows_per_chunk)
+    n = 200 if rows_per_chunk in (1, 3) else 5000  # tiny chunks cost ~0.5 ms each
+    for seed, tag in ((1, "d4"), (2, "v4")):
+        table = _random_records(seed, n)
+        for rows in (table, table[:0]):
+            tal = Tallies(tag)
+            tal.add_records(rows)
+            want = _csv_reference(tal)
+            assert records_csv(tal) == want, (seed, len(rows))
+            out = io.BytesIO()
+            digest = output_hash({}, tal, out=out)
+            assert out.getvalue() == want.encode()
+            # the header alone, with no records, is written but not hashed
+            hashed = want.encode() if len(rows) else b""
+            assert digest == hashlib.sha256(b"{}" + hashed).hexdigest()
+    widths = {len(str(abs(v))) for v in _random_records(1, 5000).ravel().tolist()}
+    assert widths == set(range(1, 20))
+    # -2^63 has no int64 magnitude: refused, not misprinted
+    tal = Tallies("d4")
+    tal.add_records(np.array([[1, 2, 3, 4, -(2**63), 6, 0]], dtype=np.int64))
+    with pytest.raises(AssertionError):
+        records_csv(tal)
