@@ -2,38 +2,44 @@
 discriminant, the symmetric-family count by discriminant, and a brute-force
 class oracle for tiny bounds.
 
-Enumeration strategy per family: substitute (u, v, x) with y built from
-(u, v), so the bound becomes |y(x^2-y)| <= M (conductor) or |y(x^2-y)^2| <= M
-(discriminant).  The outer loop runs over the small cofactor (A or u).  The
-other two coordinates are enumerated from one of two sides:
+Enumeration strategy: every family is written in coordinates (u, v, x)
+with y built from (u, v) and x^2 - y = +-4w, w = B^2 - 4AC (minus in family
+3), so the conductor is y w and the bound becomes |y(x^2-y)| <= M
+(conductor) or |y(x^2-y)^2| <= M (discriminant), M = 4^e X - 1 for all
+three families.  Family 1 is (u, v, x) = (4A, 4C, 2B) with y = uv, a
+sublattice of family 2's (u, v) = (4A - 2B + C, 4A + 2B + C); family 3 has
+y = u^2 + v^2.  The outer loop runs over the small cofactor u.  The other
+two coordinates are enumerated from one of two sides:
 
-* the x side: a numpy x-array, with the cofactor ranges read from a table
-  of exact window endpoints per |x| (families 1 and 2 at small A or u,
-  where the band of x around each y is wide);
-* the v side: (u, v) pairs, (A, C) for family 1, with the x of each pair
-  solved from the band (family 3, and families 1 and 2 at the outer values
-  where their pairs cost less than their x-scan; see X_PAIR_COST).
+* the x side: a numpy array of x of u's parity, with the v ranges read
+  from one table of exact window endpoints per |x| (families 1 and 2 at
+  small u, where the band of x around each y is wide);
+* the v side: (u, v) pairs, with the x of each pair solved from the band
+  (family 3, and families 1 and 2 at the outer values where their pairs
+  cost less than their x-scan; see X_PAIR_COST).
 
-Both sides test one exact integer band, |x^2 - y| <= _gap(|y|): the v side
-solves it for x, and the table bisects on it for its window endpoints at
-all |x| at once.  The table also keeps the largest |y| of each window, so
-the x side scans exactly the x whose window reaches the least |y| of the
-outer value (4A^2 or u^2), and the choice of side counts that scan exactly.
+Families 1 and 2 differ only in their residues (family 1: v = 0 mod 4 and
+x even; family 2: u + v + 2x = 0 mod 16) and in the sign of u that takes
+the boundary pair v = -u.  Both sides test one exact integer band,
+|x^2 - y| <= _gap(|y|): the v side solves it for x, and the table bisects
+on it for its window endpoints at all |x| at once.  The table also keeps
+the largest |y| of each window, so the x side scans exactly the x whose
+window reaches u^2, and the choice of side counts that scan exactly.
 
 The outer values where no candidate can be maximal are skipped before
-either side runs (see _outer_ok): family-1 A = 0 mod 4 or with an odd part
-that is not squarefree, family-2 u with an odd part that is not squarefree.
+either side runs (see _outer_ok): those with an odd part that is not
+squarefree, and in family 1 those with A = 0 mod 4.
 Every family runs in blocks of the remaining outer values, in increasing
 order, that close once their scan reaches BLOCK_XSCAN; a block turns its
-pairs into rows of stepped ranges (of C or v on the x side, of x on the v
+pairs into rows of stepped ranges (of v on the x side, of x on the v
 side), and the rows are expanded into candidates that are classified in
 chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
 pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
 whatever its size.  Classification tests maximality cheapest first (see
 _classify_and_tally), each test on the survivors of the one before: the
-2-adic clauses; the odd-part squarefree lookups of w = B^2 - 4AC and of
-family 1's C or family 2's 4A + 2B + C (A and 4A - 2B + C are the outer
-value, already passed by _outer_ok); then the family-3 depth condition.
+2-adic clauses; the odd-part squarefree lookups of w and of family 1's C
+or family 2's 4A + 2B + C (4A and 4A - 2B + C are the outer value, already
+passed by _outer_ok); then the family-3 depth condition.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -56,7 +62,7 @@ import numpy as np
 from .arith import PackedSquarefree, primes_upto, vec_is_square, vec_isqrt
 # factorize is unused here, but perfbench/tracer.py times census.factorize
 from .arith import factorize  # noqa: F401
-from .forms import BinQuartForm, FamilyCoords, disc_quartic, hessian_seminvariants
+from .forms import BinQuartForm, FamilyCoords, disc_quartic
 from .maximality import vec_is_maximal_at
 
 #: int64 safety caps for the vectorized engines (explicit errors above).
@@ -75,9 +81,10 @@ BLOCK_XSCAN = 1 << 15
 #: A family-1 or family-2 outer value is enumerated from the v side when its
 #: pairs number at most this many times its x-scan: an x-side (u, x) pair
 #: goes through four window pieces and both signs of u, a v-side pair
-#: through one square root.  Family-2 enumeration time is flat within
-#: noise from 2 to 4 and grows outside it, by conductor and by discriminant
-#: at X = 6e5 and 1e7 (2-vCPU Xeon VM); 3 was fastest or tied.
+#: through one square root.  Medians at 2 / 3 / 4 (2-vCPU Xeon VM, two
+#: rounds): cond-count 0.165 / 0.147-0.150 / 0.144-0.147 s, disc-count
+#: 0.118 / 0.106-0.113 / 0.103-0.110 s, conductor X = 1e8 11.1 / 9.2-10.4 /
+#: 9.2-11.0 s in process: 2 is slowest, 3 ties with 4 (and 5) within noise.
 X_PAIR_COST = 3
 #: At most this many candidates go through one classification pass, and at
 #: most this many (u, v) pairs through one band pass on the v side, which
@@ -94,6 +101,10 @@ CSV_CHUNK_ROWS = 1 << 12
 #: glibc maps blocks that large on their own, so joining them returns their
 #: memory to the OS, where the small block of each pass would stay on the heap.
 RECORD_BLOCK_ROWS = 1 << 16
+
+#: Every candidate of every family has |x^2 - y| = 4|w| >= 4, so the window
+#: table leaves out the y nearer x^2 than this above the peak.
+NEAR_SQUARE = 4
 
 #: The columns of a record row, in CSV order; the Galois tag, the same for
 #: every record of a run, sits between conductor and r2 in the CSV.
@@ -218,17 +229,20 @@ def _reach(ok, hi):
 
 class _Windows:
     """Per-|x| exact window endpoints of the y with y != 0, y != x^2 and
-    |y (x^2 - y)^e| <= bound: one negative run (y from -neg_hi to -1) and
-    three positive runs [pos_lo[k], pos_hi[k]], empty as lo = 1 > hi = 0.
+    |y (x^2 - y)^e| <= bound, less the y above the peak of y (x^2 - y)^e
+    (at x^2 // (e+1)) within NEAR_SQUARE - 1 of x^2: one negative run (y
+    from -neg_hi to -1) and three positive runs [pos_lo[k], pos_hi[k]],
+    empty as lo = 1 > hi = 0.
 
     Each run is monotone in its distance t from where it starts, so its far
     end comes from one vectorised bisection over all |x| on the test
-    |x^2 - y| <= _gap(|y|): y = -t; y = t up to the peak of y (x^2 - y)^e at
-    x^2 // (e+1); y = x^2 - t down to past that peak; y = x^2 + t."""
+    |x^2 - y| <= _gap(|y|): y = -t; y = t up to the peak; y = x^2 - t down
+    to past the peak; y = x^2 + t.  The two runs next to x^2 start at
+    t = NEAR_SQUARE, and are empty where their far end is nearer."""
 
     def __init__(self, bound: int, square: bool):
-        # beyond xmax every run is empty: the cheapest admissible point is
-        # y = x^2 - 1 with value x^2 - 1 for either exponent; row xmax + 1
+        # beyond xmax every run is empty: the cheapest point of the window
+        # is y = x^2 - 1 with value x^2 - 1 for either exponent; row xmax + 1
         # is built as well to check that
         xmax = isqrt(bound + 1)
         x2 = np.arange(xmax + 2, dtype=np.int64) ** 2
@@ -243,9 +257,9 @@ class _Windows:
         inner = _reach(ok, peak)
         outer = _reach(lambda t: ok(x2 - t), np.maximum(x2 - peak - 1, 0))
         right = _reach(lambda t: ok(x2 + t), bound // np.maximum(x2, 1))
-        lo = np.stack([np.ones_like(x2), x2 - outer, x2 + 1])
-        hi = np.stack([inner, x2 - 1, x2 + right])
-        empty = np.stack([inner, outer, right]) == 0
+        lo = np.stack([np.ones_like(x2), x2 - outer, x2 + NEAR_SQUARE])
+        hi = np.stack([inner, x2 - NEAR_SQUARE, x2 + right])
+        empty = np.stack([inner < 1, outer < NEAR_SQUARE, right < NEAR_SQUARE])
         lo[empty], hi[empty] = 1, 0
         assert neg[-1] == 0 and empty[:, -1].all()
         self.xmax = xmax
@@ -255,7 +269,6 @@ class _Windows:
         # the largest |y| of the window at each |x| (0 where it is empty)
         self.reach = np.maximum(self.neg_hi, self.pos_hi.max(axis=0))
         self.reach_sorted = np.sort(self.reach)
-        self.max_abs_y = int(self.reach.max(initial=0))
 
     # unused by the engine; perfbench/tracer.py times contains_mask by name
     def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
@@ -267,10 +280,6 @@ class _Windows:
         for k in range(3):
             m |= (self.pos_lo[k, ax] <= y) & (y <= self.pos_hi[k, ax])
         return m
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 def _ragged(idx, starts, counts, step):
@@ -296,38 +305,28 @@ class _Ctx:
 
     def __init__(self, config: CensusConfig):
         self.config = config
-        X = config.x
-        if config.mode == "conductor":
-            self.square = False
-            self.bounds = {1: (X - 1) // 4, 2: 4 * X - 1, 3: 4 * X - 1}
-        else:
-            self.square = True
-            self.bounds = {1: (X - 1) // 4, 2: 16 * X - 1, 3: 16 * X - 1}
-        # family 3 solves x per (u, v) and reads no table; families 1 and 2
-        # never share a bound, so no table is built twice
-        self.windows = {i: _Windows(self.bounds[i], self.square) for i in config.families if i != 3}
-        # families 2 and 3 have x^2 - y = 4(B^2-4AC), so admissible y satisfy
-        # |x^2-y| >= 4 and |y| <= bound/4^e; family 1 has no such gain
-        div = 4 if config.mode == "conductor" else 16
-        self.y_eff = {
-            i: self.windows[1].max_abs_y if i == 1 else self.bounds[i] // div
-            for i in config.families
-        }
-        lim = max(max(self.y_eff.values()), 16)
+        # the bound M on |y (x^2 - y)^e|: 4^e |conductor| (e = 1) or
+        # 16 |disc| (e = 2) is below 4^e X in every family
+        self.square = config.mode == "discriminant"
+        e = 2 if self.square else 1
+        self.bound = 4**e * config.x - 1
+        # every family has |x^2 - y| = 4|w| >= 4, so |y| <= M // 4^e
+        self.y_eff = self.bound // 4**e
+        # one table for families 1 and 2; family 3 solves x per (u, v)
+        self.windows = _Windows(self.bound, self.square) if config.families != (3,) else None
         # one packed table serves cofactors and quadratic-cover discriminants
-        self.sf = PackedSquarefree(lim)
-        self.deep_primes = _cube_root_primes(self.y_eff.get(3, 0))
+        self.sf = PackedSquarefree(max(self.y_eff, 16))
+        self.deep_primes = _cube_root_primes(self.y_eff)
 
     def units(self) -> list[tuple[int, int]]:
         """The (family, outer value) pairs of the run: every family-3 u, and
         the family-1 and family-2 outer values that pass _outer_ok."""
         out = []
+        top = isqrt(self.y_eff)
         for fam in self.config.families:
-            y_eff = self.y_eff[fam]
             if fam == 3:
-                out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
+                out.extend((3, u) for u in range(0, top + 1))
                 continue
-            top = isqrt((y_eff // 4 or 1) if fam == 1 else y_eff)
             u = np.arange(1, top + 1, dtype=np.int64)
             out.extend((fam, v) for v in u[_outer_ok(self.sf, fam, u)].tolist())
         return out
@@ -335,18 +334,20 @@ class _Ctx:
 
 def _outer_ok(sf: PackedSquarefree, fam: int, u: np.ndarray) -> np.ndarray:
     """Which outer values u > 0 of family 1 or 2 can carry a maximal form:
-    those whose odd part is squarefree, and for family 1 also u != 0 mod 4.
-    On every candidate of outer value u, family 1's A and family 2's
-    4A - 2B + C are +-u, and the filter would reject any other u there."""
+    those whose odd part is squarefree, and for family 1, whose u is 4|A|,
+    also u = 4, 8 or 12 mod 16 (A != 0 mod 4).  On every candidate of outer
+    value u, family 1's 4A and family 2's 4A - 2B + C are +-u, and the
+    filter would reject any other u there."""
     ok = sf.odd_squarefree(u)
-    return ok & ((u & 3) != 0) if fam == 1 else ok
+    return ok & ((u & 3) == 0) & ((u & 15) != 0) if fam == 1 else ok
 
 
 def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     """Maximality filter + Galois/r2 classification of candidate coordinate
     arrays, accumulated into the tallies.
 
-    y is the cofactor product (4AC, uv, or u^2+v^2), w = B^2-4AC.  The odd
+    y is the cofactor product (uv, which is 16AC in family 1, or u^2+v^2)
+    and w = B^2-4AC, so the conductor is y w and the disc y w^2.  The odd
     primes are handled by squarefree-odd-part tests, p=2 by the clause set;
     jointly these are exactly global maximality.  The tests run cheapest
     first, each on the survivors of the one before: the 2-adic clauses, the
@@ -355,7 +356,7 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
     puts p^2 in w, whose odd-part test rejects it, and 2 dividing all three
     fails the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses
-    too.  Family 1's A and family 2's 4A - 2B + C are not looked up either:
+    too.  Family 1's 4A and family 2's 4A - 2B + C are not looked up either:
     they are +-u at the outer value u of every candidate, and the units hold
     only the u that pass _outer_ok.  So the filter is exact on the
     candidates of those units, not on arbitrary ones.
@@ -378,7 +379,7 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     if len(A) == 0:
         return
 
-    conductor = 4 * y * w if fam == 1 else y * w
+    conductor = y * w
     disc = conductor * w
 
     reducible = w == 1
@@ -430,9 +431,11 @@ def _r2_vec(fam, A, B, C):
         r2[(uv > 0) & (B * B - 4 * A * C > 0) & (u * (4 * A - C) < 0)] = 0
         return r2
     # family 3: disc > 0 always, so r2 is 0 or 2 via the sign table of the
-    # form (A, B, C - 2A, -B, A)
-    H, S = hessian_seminvariants(A, B, C - 2 * A, -B, A)
-    r2[(S > 0) & (H < 0)] = 0
+    # form (A, B, C - 2A, -B, A), where H = 8AC - 16A^2 - 3B^2 and
+    # S = (B^2 - 4AC)(16A^2 - 4AC + 3B^2): r2 = 0 where S > 0 and H < 0
+    H = 8 * A * C - 16 * A * A - 3 * B * B
+    q = 16 * A * A - 4 * A * C + 3 * B * B
+    r2[(np.sign(B * B - 4 * A * C) * np.sign(q) > 0) & (H < 0)] = 0
     return r2
 
 
@@ -466,10 +469,10 @@ def _cube_root_primes(Y: int) -> np.ndarray:
 
 
 def _deep_check(ctx: _Ctx, m, g):
-    """The depth condition at odd y = m <= y_eff[3], g = gcd(4A-C, B): no
+    """The depth condition at odd y = m <= y_eff, g = gcd(4A-C, B): no
     odd p with p^2 | m unless p | g and p^3 does not divide m.
 
-    The primes with p^3 <= y_eff[3] are tested at every entry at once and
+    The primes with p^3 <= y_eff are tested at every entry at once and
     divided out, p^2 at most, which is all of p where the entry passes;
     what is left there has at most two prime factors, so it is squarefree
     or the square of a prime r, and r^3 > m leaves only r | g to test."""
@@ -491,21 +494,11 @@ def _deep_check(ctx: _Ctx, m, g):
 # per-family units
 
 
-def _branches(w: _Windows, ax):
-    """(sign, lo, hi) absolute-value branch arrays at the given |x| indices."""
-    yield -1, np.ones(len(ax), dtype=np.int64), w.neg_hi[ax]
-    for k in range(3):
-        yield 1, w.pos_lo[k, ax], w.pos_hi[k, ax]
-
-
-def _pruned_xs(w: _Windows, outer_sq: int, parity: int | None = None):
-    """Signed x values whose window holds some |y| >= outer_sq, optionally
-    restricted to x = parity mod 2."""
-    a = np.flatnonzero(w.reach >= outer_sq)
+def _pruned_xs(w: _Windows, u: int):
+    """Signed x of u's parity whose window holds some |y| >= u^2."""
+    a = np.flatnonzero(w.reach >= u * u)
     xs = np.concatenate([-a[a > 0][::-1], a])
-    if parity is not None:
-        xs = xs[(xs & 1) == parity]
-    return xs
+    return xs[(xs & 1) == (u & 1)]
 
 
 # perfbench/tracer.py times each family by these three names
@@ -527,103 +520,87 @@ def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
     if not vside.all():
         _xside(ctx, fam, u[~vside], tal)
     if vside.any():
-        _emit_vside(ctx, fam, _VROWS[fam](ctx, u[vside]), tal)
+        _emit_vside(ctx, fam, _vrows(ctx, fam, u[vside]), tal)
 
 
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
     """Which family-1 or family-2 outer values enumerate from the v side:
     those whose pairs number at most X_PAIR_COST times their x-scan, the
-    |x| of _pruned_xs at the outer square 4A^2 (family 1, counted for both
-    signs of x) or u^2 (family 2, where one parity of signed x is scanned)."""
-    w = ctx.windows[fam]
+    signed x of one parity of _pruned_xs, about as many as its |x|."""
+    w = ctx.windows
     u = np.asarray(us, dtype=np.int64)
-    sq, signs = (4, 2) if fam == 1 else (1, 1)
-    xlen = len(w.reach_sorted) - np.searchsorted(w.reach_sorted, sq * u * u)
-    return _v_pairs(ctx, fam, u) <= X_PAIR_COST * signs * xlen
+    xlen = len(w.reach_sorted) - np.searchsorted(w.reach_sorted, u * u)
+    return _v_pairs(ctx, fam, u) <= X_PAIR_COST * xlen
 
 
 def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
-    """The (outer, x) pairs of a block over their pruned x-ranges (one parity
-    of x for family 2), as rows of stepped C or v ranges."""
-    w = ctx.windows[fam]
-    sq = 4 if fam == 1 else 1
-    xs_of = [_pruned_xs(w, sq * u * u, parity=None if fam == 1 else u & 1) for u in us.tolist()]
+    """The (u, x) pairs of a block over their pruned x-ranges, as rows of
+    stepped v ranges."""
+    xs_of = [_pruned_xs(ctx.windows, u) for u in us.tolist()]
     u = np.repeat(us, [len(xs) for xs in xs_of])
-    xs = np.concatenate(xs_of)
-    rows = (_family1_rows if fam == 1 else _family2_rows)(w, u, xs)
-    _emit_rows(ctx, _EMIT[fam], rows, tal)
+    _emit_rows(ctx, _EMIT[fam], _xrows(ctx.windows, fam, u, np.concatenate(xs_of)), tal)
 
 
-def _family1_rows(w: _Windows, a, xs):
-    """Row batches of the (A, x) pairs: each branch and sign of A with C from
-    |C| = A on (the C = A ties, the singleton orbits), except that C = -A is
-    taken only as (A, C) = (-|A|, |A|), the canonical member of its pair."""
-    step = 4 * a
-    for sign, lo_a, hi_a in _branches(w, np.abs(xs)):
-        lo = _ceil_div(lo_a, step)
-        for sA in (1, -1):
-            first = np.maximum(lo, a + (sign < 0 and sA > 0))
-            yield _rows(sA * a, xs, sA * sign * first, hi_a // step - first + 1, sA * sign)
+#: The sign of u that takes the boundary pair v = -u in families 1 and 2
+#: (A < 0 in family 1, B = -u/2 < 0 in family 2); the other takes |v| > u.
+_BOUNDARY_SIGN = {1: -1, 2: 1}
 
 
-def _family1_vrows(ctx: _Ctx, a: np.ndarray) -> list[tuple]:
-    """v-side rows (A, first C, count, step) at outer values A: for each sign
-    of A, C of the same sign from C = A (the tie) while 4AC <= y_eff, then C
-    of the other sign while -4AC stays within the negative window piece,
-    whose widest reach is at x = 0: from |C| = A for A < 0 (the boundary
-    pair (-|A|, |A|)), from |C| > A for A > 0."""
-    Y = ctx.y_eff[1]
-    N = min(Y, int(ctx.windows[1].neg_hi[0]))
-    rows = []
-    for sA in (1, -1):
-        first = a + (sA > 0)
-        rows.append((sA * a, sA * a, Y // (4 * a) - a + 1, sA))
-        rows.append((sA * a, -sA * first, N // (4 * a) - first + 1, -sA))
-    return rows
-
-
-def _emit_family1(ctx, A, C, xi, tal):
-    y = 4 * A * C
-    _classify_and_tally(ctx, 1, A, xi, C, y, xi * xi - y, tal)
-
-
-def _family2_rows(w: _Windows, u, xs):
-    """Row batches of the (u, x) pairs: each branch and sign of u with v from
-    |v| = u on (the v = u ties, the B = 0 singletons), except that v = -u is
-    taken only for u > 0, where B = -u/2 < 0 is the canonical member of its
-    pair.  The residue of v mod 16 puts u + x = 0 mod 8 on a tie and x = 0
-    mod 8 on a boundary pair, so u is even there, as x has u's parity."""
-    for sign, lo_a, hi_a in _branches(w, np.abs(xs)):
+def _xrows(w: _Windows, fam: int, u, xs):
+    """Row batches of the (u, x) pairs of family 1 or 2: each branch and
+    sign of u with v from |v| = u on (the v = u ties, the singleton orbits)
+    and v = -(u + 2x) mod 4 (family 1: v = 4C) or mod 16 (family 2), except
+    that v = -u is taken only at the sign _BOUNDARY_SIGN.  In family 2 the
+    residue puts u + x = 0 mod 8 on a tie and x = 0 mod 8 on a boundary
+    pair, so u is even there, as x has u's parity."""
+    step = 4 if fam == 1 else 16
+    ax = np.abs(xs)
+    # (sign of y, least |y|, largest |y|) of each window piece at each x
+    pieces = [(-1, np.ones_like(ax), w.neg_hi[ax])] + [(1, w.pos_lo[k, ax], w.pos_hi[k, ax]) for k in range(3)]
+    for sign, lo_a, hi_a in pieces:
         # a piece is reachable only if it holds some y = u*v with |v| >= u
         live = np.flatnonzero(hi_a >= np.maximum(lo_a, u * u))
         ul, xl = u[live], xs[live]
-        lo = _ceil_div(lo_a[live], ul)
+        lo = -(-lo_a[live] // ul)  # ceil
         vhi = hi_a[live] // ul
         for su in (1, -1):
             sv = su * sign
             u_v = su * ul
-            vlo = np.maximum(lo, ul + (sign < 0 and su < 0))
-            res = (sv * (-u_v - 2 * xl)) & 15
-            first = vlo + ((res - vlo) & 15)
-            yield _rows(u_v, xl, sv * first, ((vhi - first) >> 4) + 1, 16 * sv)
+            vlo = np.maximum(lo, ul + (sign < 0 and su != _BOUNDARY_SIGN[fam]))
+            res = (sv * (-u_v - 2 * xl)) & (step - 1)
+            first = vlo + ((res - vlo) & (step - 1))
+            yield _rows(u_v, xl, sv * first, (vhi - first) // step + 1, step * sv)
 
 
-def _family2_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
-    """v-side rows (u_v, first v, count, step) at outer values u, v = u
-    mod 4: for each sign of u, v of the same sign from v = u (the B = 0 tie)
-    while uv <= y_eff, then v of the other sign while -uv stays within the
-    negative window piece, whose widest reach is at x = 0: from |v| >= u for
-    u > 0 (v = -u, for even u, is the boundary pair), from |v| > u for
-    u < 0."""
-    Y = ctx.y_eff[2]
-    N = min(Y, int(ctx.windows[2].neg_hi[0]))
+def _vrows(ctx: _Ctx, fam: int, u: np.ndarray) -> list[tuple]:
+    """v-side rows (u_v, first v, count, step) at outer values u.
+
+    Families 1 and 2, v = u mod 4: for each sign of u, v of the same sign
+    from v = u (the tie) while uv <= y_eff, then v of the other sign while
+    -uv stays within the negative window piece, whose widest reach is at
+    x = 0: from |v| >= u at the sign _BOUNDARY_SIGN (v = -u is the boundary
+    pair), from |v| > u at the other.
+
+    Family 3, u >= 0: both signs of u (u = 0 once) and v = 0, 2, 4, ... with
+    u^2 + v^2 <= y_eff; v = 0 is the singleton row, and y = 0 is left out."""
+    Y = ctx.y_eff
+    if fam == 3:
+        n = vec_isqrt(Y - u * u) // 2 + 1
+        z = (u == 0).astype(np.int64)
+        return [(u, 2 * z, n - z, 2), (-u, 0, n * (1 - z), 2)]
+    N = min(Y, int(ctx.windows.neg_hi[0]))
     rows = []
     for su in (1, -1):
-        lo = u + (su < 0)
+        lo = u + (su != _BOUNDARY_SIGN[fam])
         first = lo + ((-u - lo) & 3)  # the least |v| >= lo with v = su*u mod 4
         rows.append((su * u, su * u, (Y // u - u) // 4 + 1, 4 * su))
         rows.append((su * u, -su * first, (N // u - first) // 4 + 1, -4 * su))
     return rows
+
+
+def _emit_family1(ctx, u_v, v_v, xi, tal):
+    y = u_v * v_v
+    _classify_and_tally(ctx, 1, u_v >> 2, xi >> 1, v_v >> 2, y, (xi * xi - y) >> 2, tal)
 
 
 def _emit_family2(ctx, u_v, v_v, xi, tal):
@@ -635,15 +612,6 @@ def _emit_family2(ctx, u_v, v_v, xi, tal):
     _classify_and_tally(ctx, 2, A, B, C, y, wq, tal)
 
 
-def _family3_vrows(ctx: _Ctx, u: np.ndarray) -> list[tuple]:
-    """v-side rows (u_v, first v, count, step) at outer values u >= 0: both
-    signs of u (u = 0 once) and v = 0, 2, 4, ... with u^2 + v^2 <= y_eff;
-    v = 0 is the singleton row, and y = 0 is left out."""
-    n = vec_isqrt(ctx.y_eff[3] - u * u) // 2 + 1
-    z = (u == 0).astype(np.int64)
-    return [(u, 2 * z, n - z, 2), (-u, 0, n * (1 - z), 2)]
-
-
 def _emit_family3(ctx, u_v, v, xi, tal):
     y = u_v * u_v + v * v
     A = (u_v + xi) >> 3
@@ -653,16 +621,14 @@ def _emit_family3(ctx, u_v, v, xi, tal):
     _classify_and_tally(ctx, 3, A, B, C, y, wq, tal)
 
 
-#: per family: the v-side rows at a block's outer values, and the map from
-#: (u_v, v, x) to the candidate coordinates
-_VROWS = {1: _family1_vrows, 2: _family2_vrows, 3: _family3_vrows}
+#: per family: the map from (u_v, v, x) to the candidate coordinates
 _EMIT = {1: _emit_family1, 2: _emit_family2, 3: _emit_family3}
 
 
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
     """The number of (u_v, v) pairs the v side enumerates at each outer
     value u."""
-    return sum(np.maximum(count, 0) for _, _, count, _ in _VROWS[fam](ctx, u))
+    return sum(np.maximum(count, 0) for _, _, count, _ in _vrows(ctx, fam, u))
 
 
 def _emit_vside(ctx, fam, vrows, tal):
@@ -683,9 +649,7 @@ def _emit_vside(ctx, fam, vrows, tal):
 
 
 def _pair_y(fam, u_v, v):
-    if fam == 1:
-        return 4 * u_v * v
-    return u_v * v if fam == 2 else u_v * u_v + v * v
+    return u_v * u_v + v * v if fam == 3 else u_v * v
 
 
 def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
@@ -694,7 +658,7 @@ def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
     distance d, must lie in the band, that is d |y| <= M, or d^2 |y| <= M by
     discriminant.  For y < 0, d = |y| is capped at isqrt(M) + 1, past which
     the test fails anyway, so d^2 |y| stays within int64."""
-    M = ctx.bounds[fam]
+    M = ctx.bound
     y = _pair_y(fam, u_v, v)
     root = vec_isqrt(np.maximum(y, 0))
     below = y - root * root  # (root + 1)^2 - y = 2 root + 1 - below
@@ -707,17 +671,17 @@ def _live_pairs(ctx: _Ctx, fam: int, u_v, v):
 
 def _band_rows(ctx: _Ctx, fam: int, u_v, v, root):
     """Row batches of x at each (u_v, v) pair, root = isqrt(max(y, 0)) from
-    _live_pairs: x = the family's residue mod 8 (any x for family 1),
-    x^2 != y, and |x^2 - y| <= s = _gap(|y|)."""
+    _live_pairs: x = the family's residue (family 1: x = 2B even; family 2:
+    u + v + 2x = 0 mod 16; family 3: x = -u mod 8), x^2 != y, and
+    |x^2 - y| <= s = _gap(|y|)."""
     y = _pair_y(fam, u_v, v)
-    step = 8
     if fam == 1:
-        res, step = 0, 1
+        res, step = 0, 2
     elif fam == 2:
-        res = -((u_v + v) >> 1) & 7  # u + v + 2x = 0 mod 16
+        res, step = -((u_v + v) >> 1) & 7, 8
     else:
-        res = -u_v & 7  # x = -u mod 8
-    s = _gap(ctx.bounds[fam], ctx.square, np.abs(y))
+        res, step = -u_v & 7, 8
+    s = _gap(ctx.bound, ctx.square, np.abs(y))
     hi = vec_isqrt(y + s)
     bot = y - s
     lo = np.where(bot > 0, vec_isqrt(np.maximum(bot - 1, 0)) + 1, 0)  # ceil sqrt
@@ -806,7 +770,7 @@ def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
     vside = np.ones(len(u), dtype=bool)
     if fam != 3:
         vside = _vside(ctx, fam, outers)
-        size = np.where(vside, size, 2 * ctx.windows[fam].xmax + 1)
+        size = np.where(vside, size, 2 * ctx.windows.xmax + 1)
     start, n = 0, 0
     for i, k in enumerate(size.tolist()):
         n += k
@@ -1006,8 +970,8 @@ def count_v4_by_disc(X: int) -> int:
     while 4 * amax * (4 * amax - 1) <= Y:
         amax += 1
     a_all = np.arange(1, amax + 1, dtype=np.int64)
-    # (a, b, a) is a family-1 form with outer value A = a
-    for a in a_all[_outer_ok(sf, 1, a_all)].tolist():
+    # (a, b, a) is a family-1 form with outer value u = 4A = 4a
+    for a in a_all[_outer_ok(sf, 1, 4 * a_all)].tolist():
         K = Y // (4 * a)
         if K < 1:
             continue

@@ -28,7 +28,9 @@ rng = random.Random(2)
 
 def _check_windows(bound, square, xlim):
     """The window table at bound against a numpy brute force at every
-    |x| <= xlim, and past its xmax every window empty."""
+    |x| <= xlim, and past its xmax every window empty.  The table is the
+    window less the y with 1 <= |x^2 - y| <= 3 above the peak of
+    y (x^2 - y)^e, which no family reaches."""
     import numpy as np
 
     from quartic_census.census import _Windows
@@ -41,6 +43,7 @@ def _check_windows(bound, square, xlim):
         # and y < 0 has |y|^(1+e) <= bound
         y = np.arange(-isqrt(bound) - 2, x2 + bound // max(x2, 1) + 3, dtype=np.int64)
         want = (y != 0) & (y != x2) & (np.abs(y) * np.abs(x2 - y) ** e <= bound)
+        want &= ~((y > x2 // (e + 1)) & (np.abs(x2 - y) <= 3))
         if x > w.xmax:
             assert not want.any(), (bound, e, x)
             continue
@@ -52,7 +55,9 @@ def _check_windows(bound, square, xlim):
         assert w.reach[x] == np.abs(y[want]).max(initial=0), (bound, e, x)
 
 
-def test_windows_exhaustive():
+def test_windows_exhaustive(monkeypatch):
+    from quartic_census import census
+
     for square in (False, True):
         for bound in (1, 3, 17, 120, 801):
             _check_windows(bound, square, 44)
@@ -61,6 +66,32 @@ def test_windows_exhaustive():
         seeded = random.Random(8)
         for _ in range(8):
             _check_windows(seeded.randint(10**4, 3 * 10**5), square, 0)
+    # the check sees near-square pieces that start nearer x^2 than 4
+    for near in (1, 2, 3):
+        monkeypatch.setattr(census, "NEAR_SQUARE", near)
+        for square in (False, True):
+            with pytest.raises(AssertionError):
+                _check_windows(801, square, 44)
+
+
+def test_one_window_table_per_run(monkeypatch):
+    # families 1 and 2 share one table at the bound M = 4^e X - 1; a run of
+    # family 3 alone builds none
+    from quartic_census import census
+
+    real, built = census._Windows, []
+
+    def recording(bound, square):
+        built.append((bound, square))
+        return real(bound, square)
+
+    monkeypatch.setattr(census, "_Windows", recording)
+    for mode, e in (("conductor", 1), ("discriminant", 2)):
+        for fams in ((1, 2, 3), (1,), (2,), (1, 3), (3,)):
+            built.clear()
+            run_census(CensusConfig(x=2000, mode=mode, families=fams))
+            want = [] if fams == (3,) else [(4**e * 2000 - 1, mode == "discriminant")]
+            assert built == want, (mode, fams)
 
 
 def _slow_census(X, mode, fams):
@@ -427,21 +458,22 @@ def test_dropped_filter_tests_stay_implied():
 
 def _unpruned_units(ctx):
     """Every outer value of every family, including those ctx.units() skips
-    because they cannot pass the filter."""
+    because they cannot pass the filter: family 1's u = 4|A|, family 2's
+    u >= 1 and family 3's u >= 0, all with u^2 <= y_eff."""
+    top = isqrt(ctx.y_eff)
     out = []
     for fam in ctx.config.families:
-        y_eff = ctx.y_eff[fam]
         if fam == 1:
-            out.extend((1, a) for a in range(1, isqrt(y_eff // 4 or 1) + 1))
+            out.extend((1, u) for u in range(4, top + 1, 4))
         elif fam == 2:
-            out.extend((2, u) for u in range(1, isqrt(y_eff) + 1))
+            out.extend((2, u) for u in range(1, top + 1))
         else:
-            out.extend((3, u) for u in range(0, isqrt(y_eff) + 1))
+            out.extend((3, u) for u in range(0, top + 1))
     return out
 
 
 def test_skipped_outer_values_carry_no_field(monkeypatch):
-    # the filter does not test family 1's A or family 2's 4A - 2B + C, the
+    # the filter does not test family 1's 4A or family 2's 4A - 2B + C, the
     # outer value up to sign, so _Ctx.units must leave out exactly the outer
     # values without a maximal form: an unpruned run adds the rows whose
     # outer value fails _outer_ok, none of them maximal, and no other row
@@ -460,7 +492,7 @@ def test_skipped_outer_values_carry_no_field(monkeypatch):
     assert census._Ctx(cfg).units() == full
     unpruned = run_census(cfg).records
     fam, A, B, C = unpruned[:, :4].T
-    outer = np.abs(np.where(fam == 1, A, 4 * A - 2 * B + C))
+    outer = np.abs(np.where(fam == 1, 4 * A, 4 * A - 2 * B + C))
     skipped = np.zeros(len(unpruned), dtype=bool)
     for f in (1, 2):
         skipped[fam == f] = ~census._outer_ok(ctx.sf, f, outer[fam == f])
@@ -472,29 +504,28 @@ def test_skipped_outer_values_carry_no_field(monkeypatch):
 
 
 def test_pruned_xs_keeps_every_row():
-    # the x side scans only _pruned_xs at each outer value: every x with a
-    # nonempty row of _family1_rows or _family2_rows at any outer value must
-    # be among them (x of u's parity for family 2), and some x are pruned
+    # the x side scans only _pruned_xs at each outer value: every x of u's
+    # parity with a nonempty row of _xrows at any outer value u must be
+    # among them (u = 4|A| for family 1), and some x are pruned
     import numpy as np
 
     from quartic_census import census
 
     for mode in ("conductor", "discriminant"):
         ctx = census._Ctx(CensusConfig(x=20000, mode=mode))
-        for fam, rows_of in ((1, census._family1_rows), (2, census._family2_rows)):
-            w = ctx.windows[fam]
+        w = ctx.windows
+        x = np.arange(-w.xmax, w.xmax + 1, dtype=np.int64)
+        for fam in (1, 2):
             outers = np.array([u for f, u in _unpruned_units(ctx) if f == fam], dtype=np.int64)
-            x = np.arange(-w.xmax, w.xmax + 1, dtype=np.int64)
             u, xs = np.repeat(outers, len(x)), np.tile(x, len(outers))
-            if fam == 2:
-                u, xs = u[(u - xs) % 2 == 0], xs[(u - xs) % 2 == 0]
+            u, xs = u[(u - xs) % 2 == 0], xs[(u - xs) % 2 == 0]
             # row columns: the signed outer value, x, start, count, step
-            rows = list(rows_of(w, u, xs))
+            rows = list(census._xrows(w, fam, u, xs))
             row_u = np.abs(np.concatenate([r[0] for r in rows]))
             row_x = np.concatenate([r[1] for r in rows])
             scanned = 0
             for a in outers.tolist():
-                pruned = census._pruned_xs(w, (4 if fam == 1 else 1) * a * a, None if fam == 1 else a & 1)
+                pruned = census._pruned_xs(w, a)
                 assert np.isin(row_x[row_u == a], pruned).all(), (mode, fam, a)
                 scanned += len(pruned)
             assert len(row_x) > 0 and scanned < len(xs), (mode, fam)
@@ -561,10 +592,10 @@ def test_deep_check_matches_reference(monkeypatch):
         m, g, out = (np.concatenate(c) for c in zip(*seen))
         assert len(m) > 1000 and out.any() and not out.all(), mode
         assert out.tolist() == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())], mode
-    # constructed cases at conductor X = 1e5: y_eff[3] = 99,999, so the
-    # tested primes run up to 43 and 47^3 > y_eff[3]
+    # constructed cases at conductor X = 1e5: y_eff = 99,999, so the
+    # tested primes run up to 43 and 47^3 > y_eff
     ctx = census._Ctx(CensusConfig(x=10**5, families=(3,)))
-    Y = ctx.y_eff[3]
+    Y = ctx.y_eff
     assert ctx.deep_primes[-1] == 43 and Y == ctx.sf.limit == 99_999
     r = 313  # the largest prime with r^2 <= Y
     cases = [
@@ -604,35 +635,36 @@ def test_deep_check_matches_reference(monkeypatch):
         assert got == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())]
 
 
-def _pivot_bounds(X, mode, fam):
-    """Python-int bounds on the pivot's intermediates for family fam at X,
-    from the bound M and y_eff: M // 4^e for families 2 and 3, M itself for
-    family 1, whose pairs y = 4AC have |y| <= |y (x^2 - y)^e| <= M."""
+def _pivot_bounds(X, mode):
+    """Python-int bounds on the pivot's intermediates at X, from the bound
+    M = 4^e X - 1 of every family and y_eff = M // 4^e."""
     e = 1 if mode == "conductor" else 2
-    if fam == 1:
-        M = (X - 1) // 4
-        Y = M
-    else:
-        M = 4**e * X - 1
-        Y = M // 4**e  # |u v| and u^2 + v^2 are at most Y; |u| <= isqrt(Y)
+    M = 4**e * X - 1
+    Y = M // 4**e  # |u v| and u^2 + v^2 are at most Y; |u| <= isqrt(Y)
     r = isqrt(Y)
     d = max(2 * r + 1, isqrt(M) + 1)  # distance to the nearest square, capped
-    bounds = {
+    xm = isqrt(Y + M)  # |x|, as x^2 <= y + s
+    # family 3's coordinates: A = (u + x)/8, B = v/2, C = (x - u)/2
+    a, b, c = (r + xm) // 8, r // 2, (xm + r) // 2
+    # y < 0 needs |y|^(1+e) <= M, the reach at x = 0
+    reach = isqrt(M) if e == 1 else max(t for t in range(int(M ** (1 / 3)) + 2) if t**3 <= M)
+    return {
         "M // |y|": M,
         "y + s": Y + M,
         "|y - s|": Y + M,
-        "x^2": isqrt(Y + M) ** 2,
+        "x^2": xm**2,
         "(root + 1)^2": (r + 1) ** 2,
         "d^e |y|": d**e * Y,
         "|x^2 - y|": 2 * Y + M,
+        "|u v|": Y,
+        "u^2 + v^2": Y,
+        "|u + v + 2x|": r + Y + 2 * xm,
+        "negative reach": reach,
+        # the family-3 seminvariants of _r2_vec
+        "|8AC - 16A^2 - 3B^2|": 8 * a * c + 16 * a * a + 3 * b * b,
+        "|16A^2 - 4AC + 3B^2|": 16 * a * a + 4 * a * c + 3 * b * b,
+        "|B^2 - 4AC|": b * b + 4 * a * c,
     }
-    if fam == 1:
-        # y < 0 needs |y|^(1+e) <= M, the reach at x = 0
-        reach = isqrt(M) if e == 1 else max(t for t in range(int(M ** (1 / 3)) + 2) if t**3 <= M)
-        bounds.update({"|4 A C|": Y, "negative reach": reach})
-    else:
-        bounds.update({"|u v|": Y, "u^2 + v^2": Y, "|u + v + 2x|": r + Y + 2 * isqrt(Y + M)})
-    return bounds
 
 
 def test_pivot_int64_envelope(monkeypatch):
@@ -650,37 +682,34 @@ def test_pivot_int64_envelope(monkeypatch):
 
     monkeypatch.setattr(census, "vec_isqrt", recording_isqrt)
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
-        for fam in (1, 2):
-            for name, bound in _pivot_bounds(X, mode, fam).items():
-                assert bound < 2**62, (mode, fam, name, bound)
-        # the window tables at the cap: every admissible y has |x^2 - y| >= 1,
-        # so |y| <= M; the bisection probes y up to x^2 + M at x = xmax + 1
-        # and takes square roots of M // |y| <= M
+        bounds = _pivot_bounds(X, mode)
+        for name, bound in bounds.items():
+            assert bound < 2**62, (mode, name, bound)
+        # the window table at the cap: every y of the table has
+        # |x^2 - y| >= 4 or lies at most at the peak, so |y| <= M // 4^e;
+        # the bisection probes y up to x^2 + M at x = xmax + 1 and takes
+        # square roots of M // |y| <= M
         e = 1 if mode == "conductor" else 2
-        tables = {}
-        for fam, M in ((1, (X - 1) // 4), (2, 4**e * X - 1)):
-            seen.clear()
-            w = tables[fam] = census._Windows(M, mode == "discriminant")
-            assert w.xmax**2 - 1 <= w.max_abs_y <= M, (mode, fam)
-            assert (w.xmax + 1) ** 2 + M < 2**62, (mode, fam)
-            assert max(seen, default=0) <= M < 2**62, (mode, fam)
-        # the family-1 table stays within its pair bounds
-        fam1 = _pivot_bounds(X, mode, 1)
-        assert tables[1].max_abs_y <= fam1["|4 A C|"], mode
-        assert tables[1].neg_hi[0] == fam1["negative reach"], mode
+        M = 4**e * X - 1
+        seen.clear()
+        w = census._Windows(M, mode == "discriminant")
+        assert 0 < w.reach.max() <= M // 4**e == bounds["|u v|"], mode
+        assert (w.xmax + 1) ** 2 + M < 2**62, mode
+        assert max(seen, default=0) <= M < 2**62, mode
+        assert w.neg_hi[0] == bounds["negative reach"], mode
     # the family-3 depth check at the caps (the squarefree table is not
-    # built): the tested primes are the odd p with p^3 <= y_eff[3], so a
+    # built): the tested primes are the odd p with p^3 <= y_eff, so a
     # stripped y_odd is squarefree or the square of a prime r; m only
-    # shrinks from y_odd <= y_eff[3], within the table, and r^2 <= m
+    # shrinks from y_odd <= y_eff, within the table, and r^2 <= m
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
         with monkeypatch.context() as mp:
             mp.setattr(census, "PackedSquarefree", lambda limit: SimpleNamespace(limit=limit))
             ctx = census._Ctx(CensusConfig(x=X, mode=mode, families=(3,)))
-        Y, primes = ctx.y_eff[3], ctx.deep_primes.tolist()
+        Y, primes = ctx.y_eff, ctx.deep_primes.tolist()
         p = primes[-1]
         assert primes == [q for q in range(3, p + 1) if is_prime(q)], mode
         assert next(q for q in range(p + 2, 2 * p) if is_prime(q)) ** 3 > Y, mode
-        assert p**3 <= Y == _pivot_bounds(X, mode, 2)["u^2 + v^2"] <= ctx.sf.limit, mode
+        assert p**3 <= Y == _pivot_bounds(X, mode)["u^2 + v^2"] <= ctx.sf.limit, mode
         assert isqrt(Y) ** 2 <= Y < 2**62, mode
     # and the bounds hold in a run: the largest square-root argument of a
     # census with every family-1 and family-2 outer value on the v side is
@@ -688,10 +717,38 @@ def test_pivot_int64_envelope(monkeypatch):
     _force_side(monkeypatch, 1, True)
     _force_side(monkeypatch, 2, True)
     for mode in ("conductor", "discriminant"):
-        for fam, fams in ((1, (1,)), (2, (2, 3))):
+        for fams in ((1,), (2, 3)):
             seen.clear()
             run_census(CensusConfig(x=20000, mode=mode, families=fams))
-            assert 0 < max(seen) <= _pivot_bounds(20000, mode, fam)["y + s"], (mode, fam)
+            assert 0 < max(seen) <= _pivot_bounds(20000, mode)["y + s"], (mode, fams)
+
+
+def test_family3_r2_from_factored_seminvariants():
+    # _r2_vec(3, ...) takes H and S of the form (A, B, C - 2A, -B, A) as
+    # quadratics and the product of two signs; against the generic sign
+    # table on the embedded form, on seeded triples small and at the
+    # magnitudes of family-3 coordinates at the caps
+    import numpy as np
+
+    from quartic_census import census
+    from quartic_census.classify import real_signature
+
+    seeded = random.Random(19)
+    boxes = [(9, 9, 9), (200, 200, 200)]
+    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+        r, xm = isqrt(_pivot_bounds(X, mode)["|u v|"]), isqrt(_pivot_bounds(X, mode)["x^2"])
+        boxes.append(((r + xm) // 8, r // 2, (xm + r) // 2))
+    for box in boxes:
+        rows = []
+        while len(rows) < 3000:
+            A, B, C = (seeded.randint(-m, m) for m in box)
+            F = to_form(FamilyCoords(3, A, B, C))
+            if A != 0 and disc_quartic(F) != 0:
+                rows.append((A, B, C, real_signature(F).r2))
+        A, B, C, want = np.array(rows, dtype=np.int64).T
+        got = census._r2_vec(3, A, B, C)
+        assert np.array_equal(got, want), box
+        assert set(got.tolist()) == {0, 2}, box
 
 
 def test_v4_dual_route():
