@@ -35,11 +35,12 @@ pairs into rows of stepped ranges (of v on the x side, of x on the v
 side), and the rows are expanded into candidates that are classified in
 chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
 pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
-whatever its size.  Classification tests maximality cheapest first (see
-_classify_and_tally), each test on the survivors of the one before: the
-2-adic clauses; the odd-part squarefree lookups of w and of family 1's C
-or family 2's 4A + 2B + C (4A and 4A - 2B + C are the outer value, already
-passed by _outer_ok); then the family-3 depth condition.
+whatever its size.  Classification takes the candidates in (u, v, x) too
+(_family_coords maps them to (A, B, C) for the 2-adic clauses and the
+records) and tests maximality cheapest first (see _classify_and_tally):
+the 2-adic clauses; the odd-part squarefree lookups of w and, in families
+1 and 2, of v (u is the outer value, passed by _outer_ok); then the
+family-3 depth condition.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -342,43 +343,41 @@ def _outer_ok(sf: PackedSquarefree, fam: int, u: np.ndarray) -> np.ndarray:
     return ok & ((u & 3) == 0) & ((u & 15) != 0) if fam == 1 else ok
 
 
-def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
-    """Maximality filter + Galois/r2 classification of candidate coordinate
-    arrays, accumulated into the tallies.
+def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
+    """Maximality filter + Galois/r2 classification of candidates in the
+    enumeration's coordinates (u, v, x), accumulated into the tallies.
 
-    y is the cofactor product (uv, which is 16AC in family 1, or u^2+v^2)
-    and w = B^2-4AC, so the conductor is y w and the disc y w^2.  The odd
-    primes are handled by squarefree-odd-part tests, p=2 by the clause set;
-    jointly these are exactly global maximality.  The tests run cheapest
-    first, each on the survivors of the one before: the 2-adic clauses, the
-    squarefree lookups, then family 3's depth condition.
+    y is uv (u^2+v^2 in family 3) and w = B^2-4AC, so the conductor is y w
+    and the disc y w^2.  The odd primes are handled by squarefree-odd-part
+    tests, p=2 by the clause set; jointly these are exactly global
+    maximality.  The tests run cheapest first, each on the survivors of the
+    one before: the 2-adic clauses, the squarefree lookups, then family 3's
+    depth condition.  (A, B, C) come from _family_coords for the clauses,
+    and again on the survivors for family 3's pattern and the records.
 
     gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
     puts p^2 in w, whose odd-part test rejects it, and 2 dividing all three
     fails the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses
-    too.  Family 1's 4A and family 2's 4A - 2B + C are not looked up either:
-    they are +-u at the outer value u of every candidate, and the units hold
-    only the u that pass _outer_ok.  So the filter is exact on the
-    candidates of those units, not on arbitrary ones.
-
-    The boundary orbits are the pairs C = -A (family 1) and v = -u, that is
-    C = -4A (family 2); the enumeration passes only their canonical member,
-    A < 0 or B < 0.
+    too.  Families 1 and 2 look up v (4C, or 4A + 2B + C) but not u (4A, or
+    4A - 2B + C): u is +-the outer value, and the units hold only those that
+    pass _outer_ok.  So the filter is exact on the candidates of those
+    units, not on arbitrary ones.  The boundary orbits (families 1 and 2)
+    are the pairs v = -u, passed through their canonical member only.
     """
     cfg = ctx.config
-    A, B, C, y, w = _compact((A != 0) & vec_is_maximal_at(fam, A, B, C, 2), A, B, C, y, w)
+    A, B, C = _family_coords(fam, u, v, x)
+    u, v, x, y, w = _compact((A != 0) & vec_is_maximal_at(fam, A, B, C, 2), u, v, x, y, w)
     odd_sf = ctx.sf.odd_squarefree
     ok = odd_sf(w)
-    if fam == 1:
-        ok &= odd_sf(C)
-    elif fam == 2:
-        ok &= odd_sf(4 * A + 2 * B + C)
-    A, B, C, y, w = _compact(ok, A, B, C, y, w)
+    if fam != 3:
+        ok &= odd_sf(v)
+    u, v, x, y, w = _compact(ok, u, v, x, y, w)
     if fam == 3:
-        A, B, C, y, w = _compact(_fam3_deep_condition(ctx, y, A, B, C), A, B, C, y, w)
-    if len(A) == 0:
+        u, v, x, y, w = _compact(_fam3_deep_condition(ctx, u, v, y), u, v, x, y, w)
+    if len(u) == 0:
         return
 
+    A, B, C = _family_coords(fam, u, v, x)
     conductor = y * w
     disc = conductor * w
 
@@ -396,9 +395,9 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
     if cfg.galois == "d4":
         tal.excluded["v4"] += int(v4.sum())
     if fam != 3:
-        tal.excluded["boundary_orbits"] += int((keep & (C == (-A if fam == 1 else -4 * A))).sum())
+        tal.excluded["boundary_orbits"] += int((keep & (v == -u)).sum())
 
-    r2v = _r2_vec(fam, A, B, C)
+    r2v = _r2_vec(fam, u, v, x, w)
     if cfg.r2 is not None:
         keep = keep & (r2v == cfg.r2)
     for r2 in (0, 1, 2):
@@ -410,32 +409,38 @@ def _classify_and_tally(ctx: _Ctx, fam: int, A, B, C, y, w, tal: Tallies):
         tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
 
 
+def _family_coords(fam: int, u, v, x):
+    """(A, B, C) of the lattice point (u, v, x) of family fam, the inverse
+    of (4A, 4C, 2B) in family 1, (4A - 2B + C, 4A + 2B + C, 4A - C) in
+    family 2 and (4A - C, 2B, 4A + C) in family 3."""
+    if fam == 1:
+        return u >> 2, x >> 1, v >> 2
+    if fam == 2:
+        return (u + v + 2 * x) >> 4, (v - u) >> 2, (u + v - 2 * x) >> 2
+    return (u + x) >> 3, v >> 1, (x - u) >> 1
+
+
 def _compact(ok, *cols):
     """The entries of each column where ok holds."""
     keep = np.flatnonzero(ok)
     return [c[keep] for c in cols]
 
 
-def _r2_vec(fam, A, B, C):
-    r2 = np.full(len(A), 2, dtype=np.int64)
-    if fam == 1:
-        ac = A * C
-        r2[ac < 0] = 1
-        r2[(ac > 0) & (B * B - 4 * ac > 0) & (A * B < 0)] = 0
-        return r2
-    if fam == 2:
-        u = 4 * A - 2 * B + C
-        v = 4 * A + 2 * B + C
+def _r2_vec(fam, u, v, x, w):
+    """r2 of candidates (u, v, x) with w = B^2 - 4AC.  Families 1 and 2:
+    1 where uv < 0, and 0 where uv > 0, w > 0 and ux < 0 (ux has the sign
+    of AB, or of u(4A - C)).  Family 3: disc > 0, so r2 is 0 or 2 by the
+    sign table of the form (A, B, C - 2A, -B, A): 0 where H < 0 and w S > 0,
+    with 4H = (x - 3u)(x + u) - 3v^2 and 4S = 2u^2 + 2ux + 3v^2."""
+    r2 = np.full(len(u), 2, dtype=np.int64)
+    if fam != 3:
         uv = u * v
         r2[uv < 0] = 1
-        r2[(uv > 0) & (B * B - 4 * A * C > 0) & (u * (4 * A - C) < 0)] = 0
+        r2[(uv > 0) & (w > 0) & (u * x < 0)] = 0
         return r2
-    # family 3: disc > 0 always, so r2 is 0 or 2 via the sign table of the
-    # form (A, B, C - 2A, -B, A), where H = 8AC - 16A^2 - 3B^2 and
-    # S = (B^2 - 4AC)(16A^2 - 4AC + 3B^2): r2 = 0 where S > 0 and H < 0
-    H = 8 * A * C - 16 * A * A - 3 * B * B
-    q = 16 * A * A - 4 * A * C + 3 * B * B
-    r2[(np.sign(B * B - 4 * A * C) * np.sign(q) > 0) & (H < 0)] = 0
+    H = (x - 3 * u) * (x + u) - 3 * v * v
+    q = 2 * u * u + 2 * u * x + 3 * v * v
+    r2[(np.sign(w) * np.sign(q) > 0) & (H < 0)] = 0
     return r2
 
 
@@ -450,15 +455,15 @@ def _fam3_type1_pattern(A, B, C):
     return out
 
 
-def _fam3_deep_condition(ctx: _Ctx, y, A, B, C):
-    """Family-3 odd-prime depth condition on y = (4A-C)^2 + 4B^2: nonzero mod
-    p^2 in general, but only mod p^3 at primes dividing both 4A-C and B."""
+def _fam3_deep_condition(ctx: _Ctx, u, v, y):
+    """Family-3 odd-prime depth condition on y = u^2 + v^2: nonzero mod p^2
+    in general, but only mod p^3 at odd p dividing both u and v (so both
+    4A - C and B, as v = 2B)."""
     yo = y >> np.bitwise_count((y & -y) - 1)
     out = ctx.sf.lookup(yo)
     tricky = np.flatnonzero(~out)
     if len(tricky):
-        A, B, C = A[tricky], B[tricky], C[tricky]
-        out[tricky] = _deep_check(ctx, yo[tricky], np.gcd(np.abs(4 * A - C), np.abs(B)))
+        out[tricky] = _deep_check(ctx, yo[tricky], np.gcd(u[tricky], v[tricky]))
     return out
 
 
@@ -469,7 +474,7 @@ def _cube_root_primes(Y: int) -> np.ndarray:
 
 
 def _deep_check(ctx: _Ctx, m, g):
-    """The depth condition at odd y = m <= y_eff, g = gcd(4A-C, B): no
+    """The depth condition at odd y = m <= y_eff, g = gcd(u, v): no
     odd p with p^2 | m unless p | g and p^3 does not divide m.
 
     The primes with p^3 <= y_eff are tested at every entry at once and
@@ -538,7 +543,7 @@ def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
     stepped v ranges."""
     xs_of = [_pruned_xs(ctx.windows, u) for u in us.tolist()]
     u = np.repeat(us, [len(xs) for xs in xs_of])
-    _emit_rows(ctx, _EMIT[fam], _xrows(ctx.windows, fam, u, np.concatenate(xs_of)), tal)
+    _emit_rows(ctx, fam, _xrows(ctx.windows, fam, u, np.concatenate(xs_of)), tal)
 
 
 #: The sign of u that takes the boundary pair v = -u in families 1 and 2
@@ -598,33 +603,6 @@ def _vrows(ctx: _Ctx, fam: int, u: np.ndarray) -> list[tuple]:
     return rows
 
 
-def _emit_family1(ctx, u_v, v_v, xi, tal):
-    y = u_v * v_v
-    _classify_and_tally(ctx, 1, u_v >> 2, xi >> 1, v_v >> 2, y, (xi * xi - y) >> 2, tal)
-
-
-def _emit_family2(ctx, u_v, v_v, xi, tal):
-    y = u_v * v_v
-    A = (u_v + v_v + 2 * xi) >> 4
-    B = (v_v - u_v) >> 2
-    C = (u_v + v_v - 2 * xi) >> 2
-    wq = (xi * xi - y) >> 2
-    _classify_and_tally(ctx, 2, A, B, C, y, wq, tal)
-
-
-def _emit_family3(ctx, u_v, v, xi, tal):
-    y = u_v * u_v + v * v
-    A = (u_v + xi) >> 3
-    B = v >> 1
-    C = (xi - u_v) >> 1
-    wq = (y - xi * xi) >> 2
-    _classify_and_tally(ctx, 3, A, B, C, y, wq, tal)
-
-
-#: per family: the map from (u_v, v, x) to the candidate coordinates
-_EMIT = {1: _emit_family1, 2: _emit_family2, 3: _emit_family3}
-
-
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
     """The number of (u_v, v) pairs the v side enumerates at each outer
     value u."""
@@ -639,13 +617,8 @@ def _emit_vside(ctx, fam, vrows, tal):
     pieces = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
     live = (_live_pairs(ctx, fam, u_v[r], v) for r, v in pieces)
     batches = _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0]))
-    emit = _EMIT[fam]
-
-    def emit_x_rows(ctx, u_v, xi, v, tal):  # the rows range over x
-        emit(ctx, u_v, v, xi, tal)
-
     rows = (rows for pairs in batches for rows in _band_rows(ctx, fam, *pairs))
-    _emit_rows(ctx, emit_x_rows, rows, tal)
+    _emit_rows(ctx, fam, rows, tal, over_x=True)
 
 
 def _pair_y(fam, u_v, v):
@@ -734,14 +707,19 @@ def _batched(stream, cap, size):
         yield [np.concatenate(c) for c in zip(*pending)]
 
 
-def _emit_rows(ctx, emit, batches, tal):
-    """Classify the candidates of a stream of row batches.  Batches are held
-    back until they reach CHUNK_CANDIDATES candidates, so one block's rows
-    never sit in memory all at once, and expanded at most CHUNK_CANDIDATES
-    candidates per classification pass."""
-    for u_v, xs, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
-        for r, v in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
-            emit(ctx, u_v[r], v, xs[r], tal)
+def _emit_rows(ctx, fam, batches, tal, over_x=False):
+    """Classify the candidates of a stream of row batches (u, v, x ranges) if
+    over_x, else (u, x, v ranges), with w = +-(x^2 - y)/4 (minus in family
+    3).  Batches are held back until they reach CHUNK_CANDIDATES candidates,
+    so one block's rows never sit in memory all at once, and expanded at
+    most CHUNK_CANDIDATES candidates per classification pass."""
+    for u_v, fixed, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
+        for r, vals in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
+            u = u_v[r]
+            v, x = (fixed[r], vals) if over_x else (vals, fixed[r])
+            y = _pair_y(fam, u, v)
+            w = (x * x - y) >> 2 if fam != 3 else (y - x * x) >> 2
+            _classify_and_tally(ctx, fam, u, v, x, y, w, tal)
 
 
 # ---------------------------------------------------------------------------
@@ -969,18 +947,15 @@ def count_v4_by_disc(X: int) -> int:
     amax = 1
     while 4 * amax * (4 * amax - 1) <= Y:
         amax += 1
-    a_all = np.arange(1, amax + 1, dtype=np.int64)
+    # a < amax has K >= 4a - 1 >= |(2a-1)^2 - 4a^2|; no a >= amax has a b
+    a_all = np.arange(1, amax, dtype=np.int64)
     # (a, b, a) is a family-1 form with outer value u = 4A = 4a
     for a in a_all[_outer_ok(sf, 1, 4 * a_all)].tolist():
         K = Y // (4 * a)
-        if K < 1:
-            continue
         b = np.arange(0, isqrt(4 * a * a + K) + 1, dtype=np.int64)
         t = b * b - 4 * a * a
         keep = (t != 0) & (np.abs(t) <= K)
         b, t = b[keep], t[keep]
-        if len(b) == 0:
-            continue
         # gcd(a, b) = 1 is implied: an odd p | (a, b) puts p^2 in t, and
         # 2 | (a, b) fails the 2-adic clauses
         base = sf.odd_squarefree(t)

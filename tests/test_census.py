@@ -402,8 +402,8 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     def candidates(mode, vside):
         seen = []
 
-        def record(ctx, f, A, B, C, y, w, tal):
-            seen.append(np.stack([A, B, C, y, w], axis=1))
+        def record(ctx, f, u, v, x, y, w, tal):
+            seen.append(np.stack([u, v, x, y, w], axis=1))
 
         _force_side(monkeypatch, fam, vside)
         monkeypatch.setattr(census, "_classify_and_tally", record)
@@ -414,12 +414,13 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     for mode in ("conductor", "discriminant"):
         xs = candidates(mode, False)
         assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
-        A, B, C = xs[:, 0], xs[:, 1], xs[:, 2]
-        # the other member of the orbit: (C, B, A) for family 1, (A, -B, C)
-        # for family 2; a tie is its own partner, a boundary pair is not
-        partner = np.stack([C, B, A] if fam == 1 else [A, -B, C], axis=1)
-        tie = (C == A) if fam == 1 else (B == 0)
-        boundary = C == (-A if fam == 1 else -4 * A)
+        u, v, x = xs[:, 0], xs[:, 1], xs[:, 2]
+        # the other member of the orbit, (C, B, A) in family 1 and (A, -B, C)
+        # in family 2, is (v, u, x) in both; a tie (u = v) is its own
+        # partner, a boundary pair (v = -u) is not
+        partner = np.stack([v, u, x], axis=1)
+        tie = u == v
+        boundary = v == -u
         triples = {tuple(t) for t in xs[:, :3].tolist()}
         assert len(triples) == len(xs), mode
         assert not any(tuple(p) in triples for p in partner[~tie].tolist()), mode
@@ -649,6 +650,11 @@ def _pivot_bounds(X, mode):
     # y < 0 needs |y|^(1+e) <= M, the reach at x = 0
     reach = isqrt(M) if e == 1 else max(t for t in range(int(M ** (1 / 3)) + 2) if t**3 <= M)
     return {
+        # the conductor y w and the disc y w^2 of _classify_and_tally: by
+        # conductor |y w| <= M // 4 and |w| <= M // 4, as |y| >= 1; by
+        # discriminant |y w^2| <= M // 16
+        "|y w|": Y,
+        "|disc|": (M // 4) ** 2 if e == 1 else M // 16,
         "M // |y|": M,
         "y + s": Y + M,
         "|y - s|": Y + M,
@@ -660,16 +666,23 @@ def _pivot_bounds(X, mode):
         "u^2 + v^2": Y,
         "|u + v + 2x|": r + Y + 2 * xm,
         "negative reach": reach,
-        # the family-3 seminvariants of _r2_vec
-        "|8AC - 16A^2 - 3B^2|": 8 * a * c + 16 * a * a + 3 * b * b,
-        "|16A^2 - 4AC + 3B^2|": 16 * a * a + 4 * a * c + 3 * b * b,
+        # _r2_vec: u x in families 1 and 2, and family 3's 4H and 4S
+        "|u x|": r * xm,
+        "|(x - 3u)(x + u) - 3v^2|": (xm + 3 * r) * (xm + r) + 3 * Y,
+        "|2u^2 + 2ux + 3v^2|": 2 * r * r + 2 * r * xm + 3 * Y,
+        # family 3's w in its (A, B, C), and _fam3_type1_pattern's
+        # s2 b2 = (1 - 4mA)(1 - mC), compared with B^2
         "|B^2 - 4AC|": b * b + 4 * a * c,
+        "|s2 b2|": (1 + 4 * a) * (1 + c),
+        "B^2": b * b,
     }
 
 
 def test_pivot_int64_envelope(monkeypatch):
     # at the caps every bound stays below 2^62, where vec_isqrt is exact
     from types import SimpleNamespace
+
+    import numpy as np
 
     from quartic_census import census
     from quartic_census.arith import is_prime
@@ -713,21 +726,77 @@ def test_pivot_int64_envelope(monkeypatch):
         assert isqrt(Y) ** 2 <= Y < 2**62, mode
     # and the bounds hold in a run: the largest square-root argument of a
     # census with every family-1 and family-2 outer value on the v side is
-    # within its bound
+    # within its bound, and so are the filter's products on every candidate
+    real_classify, products = census._classify_and_tally, {}
+
+    def recording_classify(ctx, fam, u, v, x, y, w, tal):
+        for name, p in (("|y w|", y * w), ("|disc|", y * w * w), ("|u x|", u * x)):
+            products[name] = max(products.get(name, 0), int(np.abs(p).max(initial=0)))
+        real_classify(ctx, fam, u, v, x, y, w, tal)
+
+    monkeypatch.setattr(census, "_classify_and_tally", recording_classify)
     _force_side(monkeypatch, 1, True)
     _force_side(monkeypatch, 2, True)
     for mode in ("conductor", "discriminant"):
+        bounds = _pivot_bounds(20000, mode)
         for fams in ((1,), (2, 3)):
             seen.clear()
+            products.clear()
             run_census(CensusConfig(x=20000, mode=mode, families=fams))
-            assert 0 < max(seen) <= _pivot_bounds(20000, mode)["y + s"], (mode, fams)
+            assert 0 < max(seen) <= bounds["y + s"], (mode, fams)
+            assert len(products) == 3, (mode, fams)
+            for name, p in products.items():
+                assert 0 < p <= bounds[name], (mode, fams, name)
+
+
+def _lattice(fam, A, B, C):
+    """(u, v, x) of (A, B, C) in family fam: the maps that
+    census._family_coords inverts."""
+    if fam == 1:
+        return 4 * A, 4 * C, 2 * B
+    if fam == 2:
+        return 4 * A - 2 * B + C, 4 * A + 2 * B + C, 4 * A - C
+    return 4 * A - C, 2 * B, 4 * A + C
+
+
+def _cap_reach(X, mode):
+    """isqrt(y_eff) and the largest |x| of a census at X: |u| and, in
+    family 3, |v| are at most the first, |u v| at most y_eff."""
+    bounds = _pivot_bounds(X, mode)
+    return isqrt(bounds["|u v|"]), isqrt(bounds["x^2"])
+
+
+def test_family_coords_round_trip():
+    # _family_coords inverts the three maps to (u, v, x), on seeded triples
+    # small and at the magnitudes the lattice points of the caps reach
+    import numpy as np
+
+    from quartic_census import census
+
+    seeded = np.random.default_rng(20)
+    for fam in (1, 2, 3):
+        boxes = [(9, 9, 9), (200, 200, 200)]
+        for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+            r, xm = _cap_reach(X, mode)
+            Y = r * r
+            boxes.append(
+                {
+                    1: (r // 4, xm // 2, Y // 4),
+                    2: ((r + Y + 2 * xm) // 16, (Y + r) // 4, (r + Y + 2 * xm) // 4),
+                    3: ((r + xm) // 8, r // 2, (xm + r) // 2),
+                }[fam]
+            )
+        for box in boxes:
+            A, B, C = (seeded.integers(-m, m + 1, size=3000) for m in box)
+            got = census._family_coords(fam, *_lattice(fam, A, B, C))
+            assert all(np.array_equal(g, want) for g, want in zip(got, (A, B, C))), (fam, box)
 
 
 def test_family3_r2_from_factored_seminvariants():
     # _r2_vec(3, ...) takes H and S of the form (A, B, C - 2A, -B, A) as
-    # quadratics and the product of two signs; against the generic sign
-    # table on the embedded form, on seeded triples small and at the
-    # magnitudes of family-3 coordinates at the caps
+    # quadratics in (u, v, x) and the product of two signs; against the
+    # generic sign table on the embedded form, on seeded triples small and
+    # at the magnitudes of family-3 coordinates at the caps
     import numpy as np
 
     from quartic_census import census
@@ -736,7 +805,7 @@ def test_family3_r2_from_factored_seminvariants():
     seeded = random.Random(19)
     boxes = [(9, 9, 9), (200, 200, 200)]
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
-        r, xm = isqrt(_pivot_bounds(X, mode)["|u v|"]), isqrt(_pivot_bounds(X, mode)["x^2"])
+        r, xm = _cap_reach(X, mode)
         boxes.append(((r + xm) // 8, r // 2, (xm + r) // 2))
     for box in boxes:
         rows = []
@@ -744,11 +813,48 @@ def test_family3_r2_from_factored_seminvariants():
             A, B, C = (seeded.randint(-m, m) for m in box)
             F = to_form(FamilyCoords(3, A, B, C))
             if A != 0 and disc_quartic(F) != 0:
-                rows.append((A, B, C, real_signature(F).r2))
-        A, B, C, want = np.array(rows, dtype=np.int64).T
-        got = census._r2_vec(3, A, B, C)
+                rows.append((*_lattice(3, A, B, C), B * B - 4 * A * C, real_signature(F).r2))
+        u, v, x, w, want = np.array(rows, dtype=np.int64).T
+        got = census._r2_vec(3, u, v, x, w)
         assert np.array_equal(got, want), box
         assert set(got.tolist()) == {0, 2}, box
+
+
+def test_family12_r2_at_the_caps():
+    # the one r2 rule of families 1 and 2 against the generic sign table, on
+    # seeded lattice points of each family at the magnitudes of the caps:
+    # 0 < |u| <= isqrt(y_eff), |u v| <= y_eff, |x| <= the largest x
+    import numpy as np
+
+    from quartic_census import census
+    from quartic_census.classify import real_signature
+
+    seeded = np.random.default_rng(21)
+    n = 3100
+    for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
+        r, xm = _cap_reach(X, mode)
+        for fam in (1, 2):
+            u = seeded.integers(1, r + 1, size=n) * seeded.choice([-1, 1], size=n)
+            v = seeded.integers(-r * r, r * r + 1, size=n) // np.abs(u)
+            x = seeded.integers(-xm, xm + 1, size=n)
+            # onto the family's lattice
+            if fam == 1:
+                u, v, x = u & -4, v & -4, x & -2
+            else:
+                v = v - ((v - u) & 3)
+                x = x - ((x + ((u + v) >> 1)) & 7)
+            A, B, C = census._family_coords(fam, u, v, x)
+            assert all(np.array_equal(a, b) for a, b in zip(_lattice(fam, A, B, C), (u, v, x))), (mode, fam)
+            keep, want = [], []
+            for k, (a, b, c) in enumerate(zip(A.tolist(), B.tolist(), C.tolist())):
+                F = to_form(FamilyCoords(fam, a, b, c))
+                if a != 0 and disc_quartic(F) != 0:
+                    keep.append(k)
+                    want.append(real_signature(F).r2)
+            u, v, x, A, B, C = (t[keep] for t in (u, v, x, A, B, C))
+            got = census._r2_vec(fam, u, v, x, B * B - 4 * A * C)
+            assert len(keep) > 3000 and got.tolist() == want, (mode, fam)
+            assert set(want) == {0, 1, 2}, (mode, fam)
 
 
 def test_v4_dual_route():

@@ -117,10 +117,17 @@ def test_family_signature_agrees_with_generic():
         F = to_form(c)
         if F.a4 == 0 or disc_quartic(F) == 0:
             continue
-        by_family[fam].append((c.A, c.B, c.C, real_signature(F).r2))
+        A, B, C = c.A, c.B, c.C
+        # (u, v, x), the coordinates the census classifies in
+        u, v, x = {
+            1: (4 * A, 4 * C, 2 * B),
+            2: (4 * A - 2 * B + C, 4 * A + 2 * B + C, 4 * A - C),
+            3: (4 * A - C, 2 * B, 4 * A + C),
+        }[fam]
+        by_family[fam].append((u, v, x, B * B - 4 * A * C, real_signature(F).r2))
     for fam, rows in by_family.items():
-        A, B, C, want = np.array(rows, dtype=np.int64).T
-        assert len(rows) > 500 and np.array_equal(_r2_vec(fam, A, B, C), want), fam
+        u, v, x, w, want = np.array(rows, dtype=np.int64).T
+        assert len(rows) > 500 and np.array_equal(_r2_vec(fam, u, v, x, w), want), fam
 
 
 def test_reducible_type_examples():
