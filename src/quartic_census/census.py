@@ -27,8 +27,10 @@ the largest |y| of each window, so the x side scans exactly the x whose
 window reaches u^2, and the choice of side counts that scan exactly.
 
 The outer values where no candidate can be maximal are skipped before
-either side runs (see _outer_ok): those with an odd part that is not
-squarefree, and in family 1 those with A = 0 mod 4.
+either side runs (see _outer_ok): in families 1 and 2 those with an odd
+part that is not squarefree, in family 1 those with A = 0 mod 4, and in
+families 2 and 3 those with u = 0 mod 4, where every candidate has
+2B + C = 0 or C = 0 mod 4 and so fails a 2-adic clause.
 Every family runs in blocks of the remaining outer values, in increasing
 order, that close once their scan reaches BLOCK_XSCAN; a block turns its
 pairs into rows of stepped ranges (of v on the x side, of x on the v
@@ -39,8 +41,9 @@ whatever its size.  Classification takes the candidates in (u, v, x) too
 (_family_coords maps them to (A, B, C) for the 2-adic clauses and the
 records) and tests maximality cheapest first (see _classify_and_tally):
 the 2-adic clauses; the odd-part squarefree lookups of w and, in families
-1 and 2, of v (u is the outer value, passed by _outer_ok); then the
-family-3 depth condition.
+1 and 2, of v (u is the outer value, whose odd part _outer_ok has passed);
+then the family-3 depth condition.  The 2-adic stage tests every candidate
+in full, the clauses that _outer_ok implies included.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -315,32 +318,33 @@ class _Ctx:
         self.y_eff = self.bound // 4**e
         # one table for families 1 and 2; family 3 solves x per (u, v)
         self.windows = _Windows(self.bound, self.square) if config.families != (3,) else None
-        # one packed table serves cofactors and quadratic-cover discriminants
-        self.sf = PackedSquarefree(max(self.y_eff, 16))
+        # one packed table serves cofactors and quadratic-cover discriminants;
+        # family 1 alone looks up nothing above y_eff / 16 (or 16): the odd
+        # parts of v = 4C, as u >= 4, and of w, as |y| >= 16, and the outer
+        # values u <= isqrt(y_eff)
+        sf_limit = self.y_eff // 16 if config.families == (1,) else self.y_eff
+        self.sf = PackedSquarefree(max(sf_limit, 16))
         self.deep_primes = _cube_root_primes(self.y_eff)
 
     def units(self) -> list[tuple[int, int]]:
-        """The (family, outer value) pairs of the run: every family-3 u, and
-        the family-1 and family-2 outer values that pass _outer_ok."""
-        out = []
-        top = isqrt(self.y_eff)
-        for fam in self.config.families:
-            if fam == 3:
-                out.extend((3, u) for u in range(0, top + 1))
-                continue
-            u = np.arange(1, top + 1, dtype=np.int64)
-            out.extend((fam, v) for v in u[_outer_ok(self.sf, fam, u)].tolist())
-        return out
+        """The (family, outer value) pairs of the run: the outer values
+        1 <= u <= isqrt(y_eff) of each family that pass _outer_ok."""
+        u = np.arange(1, isqrt(self.y_eff) + 1, dtype=np.int64)
+        return [(fam, v) for fam in self.config.families for v in u[_outer_ok(self.sf, fam, u)].tolist()]
 
 
 def _outer_ok(sf: PackedSquarefree, fam: int, u: np.ndarray) -> np.ndarray:
-    """Which outer values u > 0 of family 1 or 2 can carry a maximal form:
-    those whose odd part is squarefree, and for family 1, whose u is 4|A|,
-    also u = 4, 8 or 12 mod 16 (A != 0 mod 4).  On every candidate of outer
-    value u, family 1's 4A and family 2's 4A - 2B + C are +-u, and the
-    filter would reject any other u there."""
-    ok = sf.odd_squarefree(u)
-    return ok & ((u & 3) == 0) & ((u & 15) != 0) if fam == 1 else ok
+    """Which outer values u > 0 of family fam can carry a maximal form.  On
+    every candidate of outer value u, family 1's 4A, family 2's 4A - 2B + C
+    and family 3's 4A - C are +-u, and the filter would reject any other u
+    there.  Families 1 and 2 need a squarefree odd part.  The 2-adic clauses
+    need u = 4, 8 or 12 mod 16 in family 1 (u = 4|A| with A != 0 mod 4) and
+    u != 0 mod 4 in families 2 and 3 (u = 2B + C or -C mod 4, and 2B + C or
+    C != 0 mod 4)."""
+    if fam == 1:
+        return ((u & 3) == 0) & ((u & 15) != 0) & sf.odd_squarefree(u)
+    ok = (u & 3) != 0
+    return ok & sf.odd_squarefree(u) if fam == 2 else ok
 
 
 def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
@@ -358,11 +362,13 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
     puts p^2 in w, whose odd-part test rejects it, and 2 dividing all three
     fails the 2-adic clauses.  Family 1's A, C != 0 mod 4 are 2-adic clauses
-    too.  Families 1 and 2 look up v (4C, or 4A + 2B + C) but not u (4A, or
-    4A - 2B + C): u is +-the outer value, and the units hold only those that
-    pass _outer_ok.  So the filter is exact on the candidates of those
-    units, not on arbitrary ones.  The boundary orbits (families 1 and 2)
-    are the pairs v = -u, passed through their canonical member only.
+    too.  The 2-adic stage runs in full, so it also rejects the outer values
+    whose 2-adic part _outer_ok fails, which no unit holds.  Families 1 and
+    2 look up v (4C, or 4A + 2B + C) but not u (4A, or 4A - 2B + C): u is
+    +-the outer value, and the units hold only those whose odd part
+    _outer_ok has passed.  So the filter is exact on the candidates of
+    those units, not on arbitrary ones.  The boundary orbits (families 1
+    and 2) are the pairs v = -u, passed through their canonical member only.
     """
     cfg = ctx.config
     A, B, C = _family_coords(fam, u, v, x)
@@ -586,13 +592,12 @@ def _vrows(ctx: _Ctx, fam: int, u: np.ndarray) -> list[tuple]:
     x = 0: from |v| >= u at the sign _BOUNDARY_SIGN (v = -u is the boundary
     pair), from |v| > u at the other.
 
-    Family 3, u >= 0: both signs of u (u = 0 once) and v = 0, 2, 4, ... with
-    u^2 + v^2 <= y_eff; v = 0 is the singleton row, and y = 0 is left out."""
+    Family 3, u >= 1: both signs of u and v = 0, 2, 4, ... with
+    u^2 + v^2 <= y_eff."""
     Y = ctx.y_eff
     if fam == 3:
         n = vec_isqrt(Y - u * u) // 2 + 1
-        z = (u == 0).astype(np.int64)
-        return [(u, 2 * z, n - z, 2), (-u, 0, n * (1 - z), 2)]
+        return [(u, 0, n, 2), (-u, 0, n, 2)]
     N = min(Y, int(ctx.windows.neg_hi[0]))
     rows = []
     for su in (1, -1):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import signal
@@ -427,15 +428,50 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
         assert tie.any() and boundary.any(), mode
 
 
+def _outer_value(fam, A, B, C):
+    """The outer value of family coordinates, elementwise: |4A| in family
+    1, |4A - 2B + C| in family 2 and |4A - C| in family 3."""
+    import numpy as np
+
+    return np.abs(np.select([fam == 1, fam == 2], [4 * A, 4 * A - 2 * B + C], 4 * A - C))
+
+
+def _outer_ok_2adic(fam, u):
+    """The 2-adic part of census._outer_ok: its verdict on the outer values
+    u with every odd part taken as squarefree."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from quartic_census import census
+
+    every = SimpleNamespace(odd_squarefree=lambda n: np.ones(len(n), dtype=bool))
+    return census._outer_ok(every, fam, u)
+
+
 def test_dropped_filter_tests_stay_implied():
     # the filter tests neither gcd(A, B, C) = 1 nor, for family 1, A and
-    # C != 0 mod 4: on any coordinates the 2-adic clauses and a squarefree
-    # odd part of w = B^2 - 4AC must imply them.  Seeded triples of both
-    # signs up to 2^30, many scaled by a common factor
+    # C != 0 mod 4, and _Ctx.units skips the outer values that fail the
+    # 2-adic part of _outer_ok: on any coordinates the 2-adic clauses and a
+    # squarefree odd part of w = B^2 - 4AC must imply them.  Seeded triples
+    # of both signs up to 2^30, many scaled by a common factor
     import numpy as np
 
     from quartic_census.arith import is_squarefree, odd_part, primes_upto
     from quartic_census.maximality import vec_is_maximal_at
+
+    # exhaustively over (A, B, C) mod 4, which fix u mod 16 in family 1 and
+    # u mod 4 in families 2 and 3: every class whose outer value u fails the
+    # 2-adic part of _outer_ok fails the 2-adic clauses, and every residue
+    # of u that it passes has a class that passes them
+    A, B, C = (t.ravel() for t in np.indices((4, 4, 4), dtype=np.int64))
+    for fam, period in ((1, 16), (2, 4), (3, 4)):
+        u = _outer_value(fam, A, B, C)
+        two_adic = vec_is_maximal_at(fam, A, B, C, 2)
+        outer = _outer_ok_2adic(fam, u)
+        assert two_adic.any() and not (two_adic & ~outer).any(), fam
+        passing = set((u[two_adic] % period).tolist())
+        assert passing == set((u[outer] % period).tolist()) == ({4, 8, 12} if fam == 1 else {1, 2, 3}), fam
 
     seeded = np.random.default_rng(15)
     odd_squares = [int(p) ** 2 for p in primes_upto(1000)[1:]]
@@ -448,6 +484,8 @@ def test_dropped_filter_tests_stay_implied():
             two_adic = vec_is_maximal_at(fam, A, B, C, 2)
             if fam == 1:
                 assert not (two_adic & ((A % 4 == 0) | (C % 4 == 0))).any(), bits
+            else:
+                assert not (two_adic & (_outer_value(fam, A, B, C) % 4 == 0)).any(), (fam, bits)
             common = np.gcd(np.gcd(A, B), C) != 1
             for a, b, c in zip(*(t[two_adic & common].tolist() for t in (A, B, C))):
                 # w has an odd square factor: a small one, or by factoring
@@ -459,49 +497,91 @@ def test_dropped_filter_tests_stay_implied():
 
 def _unpruned_units(ctx):
     """Every outer value of every family, including those ctx.units() skips
-    because they cannot pass the filter: family 1's u = 4|A|, family 2's
-    u >= 1 and family 3's u >= 0, all with u^2 <= y_eff."""
+    because they cannot pass the filter: family 1's u = 4|A| and the u >= 1
+    of families 2 and 3, all with u^2 <= y_eff.  (Family 3's u = 0 has
+    4A = C and C = 0 mod 4 on every candidate; _vrows does not build it.)"""
     top = isqrt(ctx.y_eff)
     out = []
     for fam in ctx.config.families:
-        if fam == 1:
-            out.extend((1, u) for u in range(4, top + 1, 4))
-        elif fam == 2:
-            out.extend((2, u) for u in range(1, top + 1))
-        else:
-            out.extend((3, u) for u in range(0, top + 1))
+        step = 4 if fam == 1 else 1
+        out.extend((fam, u) for u in range(step, top + 1, step))
     return out
 
 
 def test_skipped_outer_values_carry_no_field(monkeypatch):
-    # the filter does not test family 1's 4A or family 2's 4A - 2B + C, the
-    # outer value up to sign, so _Ctx.units must leave out exactly the outer
-    # values without a maximal form: an unpruned run adds the rows whose
-    # outer value fails _outer_ok, none of them maximal, and no other row
+    # the filter does not test the odd part of the outer value u, +-family
+    # 1's 4A, family 2's 4A - 2B + C and family 3's 4A - C; it tests u's
+    # 2-adic part only through the 2-adic clauses.  So _Ctx.units must leave
+    # out exactly the outer values without a maximal form: an unpruned run
+    # adds the rows whose outer value fails _outer_ok, none of them maximal,
+    # and no other row, and every candidate at an outer value that fails
+    # _outer_ok's 2-adic part fails the 2-adic clauses
     import numpy as np
 
     from quartic_census import census
+    from quartic_census.maximality import vec_is_maximal_at
 
     cfg = CensusConfig(x=10**5, shards=2, emit=True)
     ctx = census._Ctx(cfg)
     pruned, full = ctx.units(), _unpruned_units(ctx)
     assert set(pruned) < set(full)
-    for fam in (1, 2):
+    for fam in (1, 2, 3):
         assert sum(f == fam for f, _ in pruned) < sum(f == fam for f, _ in full), fam
+    # families 2 and 3 skip every u = 0 mod 4, family 3 nothing else
+    assert not any(u % 4 == 0 for f, u in pruned if f != 1)
+    top = isqrt(ctx.y_eff)
+    assert [u for f, u in pruned if f == 3] == [u for u in range(top + 1) if u % 4 != 0]
     tal = run_census(cfg)
     monkeypatch.setattr(census._Ctx, "units", _unpruned_units)
     assert census._Ctx(cfg).units() == full
-    unpruned = run_census(cfg).records
+    real_classify, failed = census._classify_and_tally, {1: 0, 2: 0, 3: 0}
+
+    def checking_classify(ctx, fam, u, v, x, y, w, tal):
+        A, B, C = census._family_coords(fam, u, v, x)
+        skip = ~_outer_ok_2adic(fam, np.abs(u))
+        assert not vec_is_maximal_at(fam, A[skip], B[skip], C[skip], 2).any(), fam
+        failed[fam] += int(skip.sum())
+        real_classify(ctx, fam, u, v, x, y, w, tal)
+
+    monkeypatch.setattr(census, "_classify_and_tally", checking_classify)
+    # on one shard, so that every candidate is counted in this process
+    unpruned = run_census(dataclasses.replace(cfg, shards=1)).records
+    assert all(failed.values()), failed
     fam, A, B, C = unpruned[:, :4].T
-    outer = np.abs(np.where(fam == 1, 4 * A, 4 * A - 2 * B + C))
+    outer = _outer_value(fam, A, B, C)
     skipped = np.zeros(len(unpruned), dtype=bool)
-    for f in (1, 2):
+    for f in (1, 2, 3):
         skipped[fam == f] = ~census._outer_ok(ctx.sf, f, outer[fam == f])
     assert np.array_equal(unpruned[~skipped], tal.records) and len(tal.records) > 0
     extra = unpruned[skipped, :4].tolist()
     assert {row[0] for row in extra} == {1, 2}
     for row in extra:
         assert not is_maximal(FamilyCoords(*row)).is_maximal, row
+
+
+def test_squarefree_lookups_stay_within_the_table(monkeypatch):
+    # an index past the limit of the packed table reads the zero padding of
+    # its last byte, "not squarefree", or raises past it; a run alone of
+    # family 1, whose table is y_eff // 16, must stay within it too
+    from quartic_census import census
+    from quartic_census.arith import PackedSquarefree
+
+    real_lookup, seen = PackedSquarefree.lookup, []
+
+    def recording_lookup(self, n):
+        seen.append((self.limit, int(n.min(initial=0)), int(n.max(initial=0))))
+        return real_lookup(self, n)
+
+    monkeypatch.setattr(PackedSquarefree, "lookup", recording_lookup)
+    for mode in ("conductor", "discriminant"):
+        for fams in ((1,), (2,), (3,), (1, 2, 3)):
+            cfg = CensusConfig(x=20000, mode=mode, families=fams)
+            ctx = census._Ctx(cfg)
+            limit = ctx.sf.limit
+            assert (limit < ctx.y_eff) == (fams == (1,)), (mode, fams)
+            seen.clear()
+            run_census(cfg)
+            assert seen and all(s[0] == limit and 0 <= s[1] <= s[2] <= limit for s in seen), (mode, fams)
 
 
 def test_pruned_xs_keeps_every_row():
