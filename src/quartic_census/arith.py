@@ -210,15 +210,16 @@ def odd_part(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def primes_upto(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (simple vectorized sieve)."""
+    """Primes <= limit as an int64 array (vectorized sieve of the odd numbers)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
 
 
 #: PackedSquarefree sieves this many integers at a time, unpacked.

@@ -151,8 +151,9 @@ class Tallies:
 
     Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS.
     `add_records` gathers the rows of each pass as pending until they make a
-    block of RECORD_BLOCK_ROWS; `records` joins all of them into one array on
-    first use."""
+    block of RECORD_BLOCK_ROWS; `records` joins all of them on first use into
+    one array in column order (order="F"), so that the sort's permutation and
+    the CSV formatter read each column as one contiguous run."""
 
     def __init__(self, galois: str):
         self.counts = np.zeros((4, 3), dtype=np.int64)  # [family][r2]
@@ -177,11 +178,11 @@ class Tallies:
     @property
     def records(self) -> np.ndarray:
         self._flush()
-        if len(self.blocks) != 1:
+        if len(self.blocks) != 1 or not self.blocks[0].flags.f_contiguous:
             # each block is freed once it is copied, so the blocks and the
             # joined table are not held in full at the same time
             n = sum(len(b) for b in self.blocks)
-            rec = np.empty((n, len(RECORD_COLUMNS)), dtype=np.int64)
+            rec = np.empty((n, len(RECORD_COLUMNS)), dtype=np.int64, order="F")
             while self.blocks:
                 block = self.blocks.pop()
                 rec[n - len(block) : n] = block
@@ -412,7 +413,7 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     if cfg.emit and keep.any():
         k = np.flatnonzero(keep)
         fams = np.full(len(k), fam, dtype=np.int64)
-        tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]], axis=1))
+        tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]]).T)
 
 
 def _family_coords(fam: int, u, v, x):
@@ -880,10 +881,36 @@ def _pickled_error(exc: BaseException) -> bytes:
 
 def _sort_records(rec: np.ndarray) -> None:
     """Put the rows of rec in the output order, by |conductor|, family, A, B,
-    C, in place one column at a time, so no second table is built."""
-    order = np.lexsort((rec[:, 3], rec[:, 2], rec[:, 1], rec[:, 0], np.abs(rec[:, 5])))
+    C, in place one column at a time, so no second table is built.
+
+    The order is one argsort of the packed key ((4|conductor| + family) << b)
+    | (A - min A), where b is the bit width of the A range and the family is
+    1, 2 or 3, then a lexsort by B and C of only the rows whose key is
+    shared, written back at their positions.  The records are distinct, so the order is
+    unique and no sort need be stable.  A key past 63 bits fails an
+    assertion.  rec may have either layout; in column order (as
+    Tallies.records joins it) each column it permutes is contiguous."""
+    if len(rec) == 0:
+        return
+    A = rec[:, 1]
+    lo = int(A.min())
+    bits = (int(A.max()) - lo).bit_length()
+    key = np.abs(rec[:, 5])
+    assert (4 * int(key.max()) + 3) << bits < 1 << 63, "the sort key needs more than 63 bits"
+    key <<= 2
+    key += rec[:, 0]
+    key <<= bits
+    key |= A - lo
+    order = np.argsort(key)
+    key = key[order]
+    tie = np.zeros(len(key), dtype=bool)
+    np.equal(key[1:], key[:-1], out=tie[1:])
+    tie[:-1] |= tie[1:]
+    if tie.any():
+        rows = order[tie]
+        order[tie] = rows[np.lexsort((rec[rows, 3], rec[rows, 2], key[tie]))]
     for c in range(rec.shape[1]):
-        rec[:, c] = rec[order, c]
+        rec[:, c] = rec[:, c].take(order)
 
 
 def summarize(config: CensusConfig, tal: Tallies) -> dict:

@@ -51,6 +51,13 @@ def _open_for_write(path: str, what: str, mode: str = "w"):
         _usage_error(f"cannot write {what} file {path!r}: {exc.strerror}")
 
 
+def _families(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        _usage_error(f"--families must be a comma-separated subset of {{1, 2, 3}}, got {text!r}")
+
+
 def _parse_arg(parse, text: str, what: str):
     try:
         return parse(text)
@@ -305,7 +312,7 @@ def cmd_census(args, globals_) -> dict:
             mode="conductor" if args.census_mode == "conductor" else "discriminant",
             galois=args.galois,
             r2=r2,
-            families=tuple(int(t) for t in args.families.split(",")),
+            families=_families(args.families),
             shards=int(globals_["shards"]),
             emit=bool(args.emit),
         )

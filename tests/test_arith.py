@@ -102,6 +102,22 @@ def test_primes_upto():
     assert len(primes_upto(10**6)) == 78498
 
 
+def test_primes_upto_matches_reference():
+    # the odd-only sieve against a plain sieve of every integer, at every
+    # small limit and at large ones of both parities
+    def reference(limit):
+        mask = np.ones(max(limit + 1, 2), dtype=bool)
+        mask[:2] = False
+        for p in range(2, isqrt(limit) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        return np.flatnonzero(mask)
+
+    for limit in [*range(2001), 12345, 65536, 999983, 10**6, 10**6 + 1, 4 * 10**6 + 7]:
+        got = primes_upto(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, reference(limit)), limit
+
+
 def test_vec_isqrt_and_square():
     big = (2**31 - 1) ** 2  # the largest square below 2^62
     vals = [0, 1, 2, 3, 4, 10**9, 2**61, big - 1, big, big + 1, 2**62 - 1]

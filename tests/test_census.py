@@ -369,6 +369,8 @@ def test_record_blocks_consolidate(monkeypatch):
     assert tal.pending_rows == sum(len(b) for b in tal.pending) < 64
     assert len(tal.records) == tal.total() > 0
     assert len(tal.blocks) == 1 and tal.pending == []
+    # joined in column order, which the sort and the CSV formatter read
+    assert tal.records.flags.f_contiguous
 
     # merge carries the pending rows of both sides
     units = ctx.units()
@@ -378,6 +380,61 @@ def test_record_blocks_consolidate(monkeypatch):
     census._sort_records(tal.records)
     census._sort_records(merged.records)
     assert (merged.records == tal.records).all()
+
+
+def _lexsorted(rec):
+    """rec in the output order by a 5-key lexsort on |conductor|, family, A,
+    B and C: the reference for census._sort_records."""
+    import numpy as np
+
+    return rec[np.lexsort((rec[:, 3], rec[:, 2], rec[:, 1], rec[:, 0], np.abs(rec[:, 5])))]
+
+
+def _tied_records(g, n, conds, As, span):
+    """n distinct seeded records whose |conductor| and A come from the
+    lists conds and As, so that many share (|conductor|, family, A); B and C
+    lie within +-span, and every column but the family takes both signs."""
+    import numpy as np
+
+    rec = g.integers(-span, span + 1, (n, 7))
+    rec[:, 0] = g.integers(1, 4, n)
+    rec[:, 1] = g.choice(As, n)
+    rec[:, 5] = g.choice(conds, n) * g.choice([-1, 1], n)
+    # records are distinct in (family, A, B, C), so their order is unique
+    return rec[np.sort(np.unique(rec[:, :4], axis=0, return_index=True)[1])]
+
+
+def test_sort_records_matches_lexsort():
+    # the packed key and its pass over the ties against the 5-key lexsort,
+    # on seeded tables in both layouts, empty and one-row tables among them
+    import numpy as np
+
+    from quartic_census import census
+
+    g = np.random.default_rng(22)
+    tables = [
+        _tied_records(g, 0, [1], [0], 1),
+        _tied_records(g, 1, [7], [-3], 5),
+        _tied_records(g, 400, [1, 2], [-1, 0, 1], 3),
+        _tied_records(g, 3000, list(range(1, 30)), list(range(-20, 9)), 4),
+        _tied_records(g, 3000, g.integers(1, 1000, 40), g.integers(-(10**6), 10**6, 40), 10**9),
+        # the key budget's magnitudes: |A| up to 2^24 and |conductor| to 2^30
+        _tied_records(g, 3000, [1, 2**30 - 1, 2**29], [-(2**24), -1, 0, 2**24 - 1], 10**12),
+    ]
+    assert sum(len(t) for t in tables) > 6000
+    for rec in tables:
+        want = _lexsorted(rec)
+        assert len(set(map(tuple, rec[:, :4].tolist()))) == len(rec)
+        for layout in ("C", "F"):
+            got = np.array(rec[g.permutation(len(rec))], order=layout)
+            census._sort_records(got)
+            assert np.array_equal(got, want), (len(rec), layout)
+    # a key past 63 bits is refused, not missorted
+    for A, cond in (((0, 1), 2**61), ((-(2**40), 2**40), 2**21)):
+        rec = np.zeros((2, 7), dtype=np.int64)
+        rec[:, 0], rec[:, 1], rec[:, 5] = 3, A, cond
+        with pytest.raises(AssertionError):
+            census._sort_records(rec)
 
 
 @pytest.mark.parametrize("fam,side", [(1, "x"), (1, "v"), (2, "x"), (2, "v")])
@@ -790,6 +847,17 @@ def test_pivot_int64_envelope(monkeypatch):
         assert (w.xmax + 1) ** 2 + M < 2**62, mode
         assert max(seen, default=0) <= M < 2**62, mode
         assert w.neg_hi[0] == bounds["negative reach"], mode
+        # _sort_records' key ((4|conductor| + family) << b) | (A - min A),
+        # b the bit width of the A range: |A| from the inverse coordinate
+        # maps, u / 4 (family 1), (u + v + 2x) / 16 (2) and (u + x) / 8 (3)
+        r, xm = isqrt(bounds["|u v|"]), isqrt(bounds["x^2"])
+        a = max(r // 4, bounds["|u + v + 2x|"] // 16, (r + xm) // 8)
+        b = (2 * a).bit_length()
+        assert (4 * bounds["|y w|"] + 3) << b < 2**63, mode
+        # the sort itself takes a table at those extremes
+        rec = np.array([[3, a, 0, 0, 0, -bounds["|y w|"], 0], [1, -a, 0, 0, 0, 1, 0]])
+        census._sort_records(rec)
+        assert rec[:, 1].tolist() == [-a, a], mode
     # the family-3 depth check at the caps (the squarefree table is not
     # built): the tested primes are the odd p with p^3 <= y_eff, so a
     # stripped y_odd is squarefree or the square of a prime r; m only
@@ -1105,7 +1173,7 @@ def test_csv_formatter_matches_reference(monkeypatch, rows_per_chunk):
     n = 200 if rows_per_chunk in (1, 3) else 5000  # tiny chunks cost ~0.5 ms each
     for seed, tag in ((1, "d4"), (2, "v4")):
         table = _random_records(seed, n)
-        for rows in (table, table[:0]):
+        for rows in (table, table[:0], np.asfortranarray(table)):
             tal = Tallies(tag)
             tal.add_records(rows)
             want = _csv_reference(tal)

@@ -75,6 +75,7 @@ def assert_one_line_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize("argv", [["--pmax", "1"], ["--box", "-2"], ["--box", "0"]])
@@ -208,10 +209,15 @@ def test_census_rejects_non_integer():
         ["census", "conductor", "--x", "1000", "--families", "4"],
         ["census", "conductor", "--x", "250000001"],
         ["census", "discriminant", "--x", "200000001"],
+        ["census", "conductor", "--x", "1000", "--families", "1,,2"],
+        ["census", "conductor", "--x", "1000", "--families", ""],
     ],
 )
 def test_census_config_error_is_one_line(capsys, argv):
-    assert_one_line_error(capsys, argv)
+    err = assert_one_line_error(capsys, argv)
+    if "--families" in argv and argv[-1] != "4":
+        # an item that is not a number names the option and the allowed set
+        assert "--families" in err and "{1, 2, 3}" in err, err
 
 
 def test_census_discriminant_v4(capsys):
