@@ -19,12 +19,13 @@ two coordinates are enumerated from one of two sides:
   cost less than their x-scan; see X_PAIR_COST).
 
 Families 1 and 2 differ only in their residues (family 1: v = 0 mod 4 and
-x even; family 2: u + v + 2x = 0 mod 16) and in the sign of u that takes
-the boundary pair v = -u.  Both sides test one exact integer band,
-|x^2 - y| <= _gap(|y|): the v side solves it for x, and the table bisects
-on it for its window endpoints at all |x| at once.  The table also keeps
-the largest |y| of each window, so the x side scans exactly the x whose
-window reaches u^2, and the choice of side counts that scan exactly.
+x even; family 2: u + v + 2x = 0 mod 16) and in their canonical sign of u,
+the one that takes the boundary pair v = -u.  Both sides test one exact
+integer band, |x^2 - y| <= _gap(|y|): the v side solves it for x, and the
+table bisects on it for its window endpoints at all |x| at once.  The
+table also keeps the largest |y| of each window, so the x side scans
+exactly the x whose window reaches u^2, and the choice of side counts that
+scan exactly.
 
 The outer values where no candidate can be maximal are skipped before
 either side runs (see _outer_ok): in families 1 and 2 those with an odd
@@ -44,6 +45,15 @@ the 2-adic clauses; the odd-part squarefree lookups of w and, in families
 1 and 2, of v (u is the outer value, whose odd part _outer_ok has passed);
 then the family-3 depth condition.  The 2-adic stage tests every candidate
 in full, the clauses that _outer_ok implies included.
+
+Both sides build their rows at the canonical sign of u only (u > 0 in
+family 3).  The mirror sigma, (u, v, x) -> (-u, -v, -x) in families 1 and
+2, that is (A, B, C) -> (-A, -B, -C), and (-u, v, -x) in family 3, that is
+(-A, B, -C), maps the rows at one sign onto those at the other, less the
+boundary pairs, and keeps the conductor, the disc, maximality, the Galois
+type and r2.  So each classified candidate stands for itself and its
+mirror: it weighs 2 in the tallies and emits both records, and a boundary
+pair, whose mirror is counted through another boundary pair, weighs 1.
 
 Shards partition the outer values by stride; every aggregate is a
 commutative sum, so neither the shard count, the block and chunk sizes nor
@@ -84,11 +94,13 @@ SHARDS_MAX = 64
 BLOCK_XSCAN = 1 << 15
 #: A family-1 or family-2 outer value is enumerated from the v side when its
 #: pairs number at most this many times its x-scan: an x-side (u, x) pair
-#: goes through four window pieces and both signs of u, a v-side pair
-#: through one square root.  Medians at 2 / 3 / 4 (2-vCPU Xeon VM, two
-#: rounds): cond-count 0.165 / 0.147-0.150 / 0.144-0.147 s, disc-count
-#: 0.118 / 0.106-0.113 / 0.103-0.110 s, conductor X = 1e8 11.1 / 9.2-10.4 /
-#: 9.2-11.0 s in process: 2 is slowest, 3 ties with 4 (and 5) within noise.
+#: goes through four window pieces, a v-side pair through one square root.
+#: Both sides are counted at both signs of u, which each row stands for (see
+#: _v_pairs).  Medians at 2 / 3 / 4, timed when both signs were enumerated
+#: (2-vCPU Xeon VM, two rounds): cond-count 0.165 / 0.147-0.150 /
+#: 0.144-0.147 s, disc-count 0.118 / 0.106-0.113 / 0.103-0.110 s, conductor
+#: X = 1e8 11.1 / 9.2-10.4 / 9.2-11.0 s in process: 2 is slowest, 3 ties
+#: with 4 (and 5) within noise.
 X_PAIR_COST = 3
 #: At most this many candidates go through one classification pass, and at
 #: most this many (u, v) pairs through one band pass on the v side, which
@@ -368,8 +380,21 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     2 look up v (4C, or 4A + 2B + C) but not u (4A, or 4A - 2B + C): u is
     +-the outer value, and the units hold only those whose odd part
     _outer_ok has passed.  So the filter is exact on the candidates of
-    those units, not on arbitrary ones.  The boundary orbits (families 1
-    and 2) are the pairs v = -u, passed through their canonical member only.
+    those units, not on arbitrary ones.
+
+    The candidates come at one sign of u (see _xrows and _vrows), and each
+    stands for itself and its mirror: (u, v, x) -> (-u, -v, -x) in families
+    1 and 2, (A, B, C) -> (-A, -B, -C), and (-u, v, -x) in family 3,
+    (-A, B, -C).  The mirror keeps y, w and so the conductor, disc and
+    bound, every clause of the filter (each tests a term that the mirror
+    maps to +-itself, but family 3's A - B + C goes to -(A + B + C), which
+    is 0 mod 4 together with it, as that clause needs B even), y and
+    gcd(u, v) of the depth condition, r2 and the Galois type.  So each
+    candidate weighs 2 in the counts and exclusions, and emits its mirror's
+    record too.  The boundary pairs v = -u (families 1 and 2) weigh 1: the
+    mirror of one is a boundary pair of the other sign, in the class of
+    (u, -u, -x), which is a candidate of its own; each such orbit is passed
+    through its canonical member only.
     """
     cfg = ctx.config
     A, B, C = _family_coords(fam, u, v, x)
@@ -395,25 +420,29 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     c4 = ~reducible & ~v4 & vec_is_square(conductor)
     d4 = ~(reducible | v4 | c4)
 
-    tal.excluded["reducible"] += int(reducible.sum())
-    tal.excluded["c4"] += int(c4.sum())
+    boundary = (v == -u) if fam != 3 else np.zeros(len(u), dtype=bool)
+    weight = 2 - boundary
+    tal.excluded["reducible"] += int(weight[reducible].sum())
+    tal.excluded["c4"] += int(weight[c4].sum())
 
     keep = v4 if cfg.galois == "v4" else d4
     if cfg.galois == "d4":
-        tal.excluded["v4"] += int(v4.sum())
-    if fam != 3:
-        tal.excluded["boundary_orbits"] += int((keep & (v == -u)).sum())
+        tal.excluded["v4"] += int(weight[v4].sum())
+    tal.excluded["boundary_orbits"] += int((keep & boundary).sum())
 
     r2v = _r2_vec(fam, u, v, x, w)
     if cfg.r2 is not None:
         keep = keep & (r2v == cfg.r2)
     for r2 in (0, 1, 2):
-        tal.counts[fam][r2] += int((keep & (r2v == r2)).sum())
+        tal.counts[fam][r2] += int(weight[keep & (r2v == r2)].sum())
 
     if cfg.emit and keep.any():
         k = np.flatnonzero(keep)
-        fams = np.full(len(k), fam, dtype=np.int64)
-        tal.add_records(np.stack([fams, A[k], B[k], C[k], disc[k], conductor[k], r2v[k]]).T)
+        # the kept rows, then their mirrors, each added as at most one pass's rows
+        for j, s in ((k, 1), (k[~boundary[k]], -1)):
+            fams = np.full(len(j), fam, dtype=np.int64)
+            sB = 1 if fam == 3 else s
+            tal.add_records(np.stack([fams, s * A[j], sB * B[j], s * C[j], disc[j], conductor[j], r2v[j]]).T)
 
 
 def _family_coords(fam: int, u, v, x):
@@ -553,19 +582,24 @@ def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
     _emit_rows(ctx, fam, _xrows(ctx.windows, fam, u, np.concatenate(xs_of)), tal)
 
 
-#: The sign of u that takes the boundary pair v = -u in families 1 and 2
-#: (A < 0 in family 1, B = -u/2 < 0 in family 2); the other takes |v| > u.
-_BOUNDARY_SIGN = {1: -1, 2: 1}
+#: The canonical sign of u in families 1 and 2, the only one their rows are
+#: built at (A < 0 in family 1, B = -u/2 < 0 on its boundary pairs in family
+#: 2); it takes the boundary pairs v = -u of both.  Family 3 builds u > 0.
+_CANONICAL_SIGN = {1: -1, 2: 1}
 
 
 def _xrows(w: _Windows, fam: int, u, xs):
-    """Row batches of the (u, x) pairs of family 1 or 2: each branch and
-    sign of u with v from |v| = u on (the v = u ties, the singleton orbits)
-    and v = -(u + 2x) mod 4 (family 1: v = 4C) or mod 16 (family 2), except
-    that v = -u is taken only at the sign _BOUNDARY_SIGN.  In family 2 the
-    residue puts u + x = 0 mod 8 on a tie and x = 0 mod 8 on a boundary
-    pair, so u is even there, as x has u's parity."""
+    """Row batches of the (u, x) pairs of family 1 or 2 at the sign
+    _CANONICAL_SIGN of u: each branch with v from |v| = u on (the v = u
+    ties, the singleton orbits, and the boundary pairs v = -u) and
+    v = -(u + 2x) mod 4 (family 1: v = 4C) or mod 16 (family 2).  The rows
+    at the other sign are their mirrors (u, v, x) -> (-u, -v, -x), as xs
+    holds both signs of each |x|; _classify_and_tally counts each candidate
+    for both.  In family 2 the residue puts u + x = 0 mod 8 on a tie and
+    x = 0 mod 8 on a boundary pair, so u is even there, as x has u's
+    parity."""
     step = 4 if fam == 1 else 16
+    s = _CANONICAL_SIGN[fam]
     ax = np.abs(xs)
     # (sign of y, least |y|, largest |y|) of each window piece at each x
     pieces = [(-1, np.ones_like(ax), w.neg_hi[ax])] + [(1, w.pos_lo[k, ax], w.pos_hi[k, ax]) for k in range(3)]
@@ -573,46 +607,40 @@ def _xrows(w: _Windows, fam: int, u, xs):
         # a piece is reachable only if it holds some y = u*v with |v| >= u
         live = np.flatnonzero(hi_a >= np.maximum(lo_a, u * u))
         ul, xl = u[live], xs[live]
-        lo = -(-lo_a[live] // ul)  # ceil
-        vhi = hi_a[live] // ul
-        for su in (1, -1):
-            sv = su * sign
-            u_v = su * ul
-            vlo = np.maximum(lo, ul + (sign < 0 and su != _BOUNDARY_SIGN[fam]))
-            res = (sv * (-u_v - 2 * xl)) & (step - 1)
-            first = vlo + ((res - vlo) & (step - 1))
-            yield _rows(u_v, xl, sv * first, (vhi - first) // step + 1, step * sv)
+        vlo = np.maximum(-(-lo_a[live] // ul), ul)  # ceil(lo / u), and |v| >= u
+        sv, u_v = s * sign, s * ul
+        res = (sv * (-u_v - 2 * xl)) & (step - 1)
+        first = vlo + ((res - vlo) & (step - 1))
+        yield _rows(u_v, xl, sv * first, (hi_a[live] // ul - first) // step + 1, step * sv)
 
 
 def _vrows(ctx: _Ctx, fam: int, u: np.ndarray) -> list[tuple]:
-    """v-side rows (u_v, first v, count, step) at outer values u.
+    """v-side rows (u_v, first v, count, step) at outer values u, at the
+    canonical sign of u only: the rows at the other sign are their mirrors,
+    (u, v, x) -> (-u, -v, -x) in families 1 and 2 and (-u, v, -x) in
+    family 3, as _band_rows takes both signs of x.
 
-    Families 1 and 2, v = u mod 4: for each sign of u, v of the same sign
-    from v = u (the tie) while uv <= y_eff, then v of the other sign while
-    -uv stays within the negative window piece, whose widest reach is at
-    x = 0: from |v| >= u at the sign _BOUNDARY_SIGN (v = -u is the boundary
-    pair), from |v| > u at the other.
+    Families 1 and 2, v = u mod 4, u_v = _CANONICAL_SIGN * u: v of u_v's
+    sign from v = u_v (the tie) while uv <= y_eff, then v of the other sign
+    from v = -u_v (the boundary pair) while -uv stays within the negative
+    window piece, whose widest reach is at x = 0.
 
-    Family 3, u >= 1: both signs of u and v = 0, 2, 4, ... with
-    u^2 + v^2 <= y_eff."""
+    Family 3, u >= 1: v = 0, 2, 4, ... with u^2 + v^2 <= y_eff."""
     Y = ctx.y_eff
     if fam == 3:
-        n = vec_isqrt(Y - u * u) // 2 + 1
-        return [(u, 0, n, 2), (-u, 0, n, 2)]
+        return [(u, 0, vec_isqrt(Y - u * u) // 2 + 1, 2)]
     N = min(Y, int(ctx.windows.neg_hi[0]))
-    rows = []
-    for su in (1, -1):
-        lo = u + (su != _BOUNDARY_SIGN[fam])
-        first = lo + ((-u - lo) & 3)  # the least |v| >= lo with v = su*u mod 4
-        rows.append((su * u, su * u, (Y // u - u) // 4 + 1, 4 * su))
-        rows.append((su * u, -su * first, (N // u - first) // 4 + 1, -4 * su))
-    return rows
+    s = _CANONICAL_SIGN[fam]
+    first = u + ((-2 * u) & 3)  # the least |v| >= u with -|v| = u mod 4
+    return [(s * u, s * u, (Y // u - u) // 4 + 1, 4 * s), (s * u, -s * first, (N // u - first) // 4 + 1, -4 * s)]
 
 
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
-    """The number of (u_v, v) pairs the v side enumerates at each outer
-    value u."""
-    return sum(np.maximum(count, 0) for _, _, count, _ in _vrows(ctx, fam, u))
+    """The number of (u_v, v) pairs the v side stands for at each outer
+    value u: twice those it enumerates, each with its mirror, as the x-scan
+    that _vside and _blocks weigh it against counts x whose rows stand for
+    both signs of u too."""
+    return 2 * sum(np.maximum(count, 0) for _, _, count, _ in _vrows(ctx, fam, u))
 
 
 def _emit_vside(ctx, fam, vrows, tal):

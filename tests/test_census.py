@@ -452,7 +452,9 @@ def test_family_side_forced(monkeypatch, fam, side):
 def test_family_sides_make_the_same_candidates(monkeypatch, fam):
     # stronger than the hashes, which see only accepted records: the x-scan
     # and the pivot pass the same candidates, multiplicities included, to the
-    # filter, and each passes every orbit once, through one member
+    # filter, and each passes every orbit once, through one member, and
+    # every candidate at the canonical sign of u (its mirror at the other
+    # sign is counted through it)
     import numpy as np
 
     from quartic_census import census
@@ -473,6 +475,7 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
         xs = candidates(mode, False)
         assert len(xs) > 0 and np.array_equal(xs, candidates(mode, True)), mode
         u, v, x = xs[:, 0], xs[:, 1], xs[:, 2]
+        assert (np.sign(u) == census._CANONICAL_SIGN[fam]).all(), mode
         # the other member of the orbit, (C, B, A) in family 1 and (A, -B, C)
         # in family 2, is (v, u, x) in both; a tie (u = v) is its own
         # partner, a boundary pair (v = -u) is not
@@ -483,6 +486,26 @@ def test_family_sides_make_the_same_candidates(monkeypatch, fam):
         assert len(triples) == len(xs), mode
         assert not any(tuple(p) in triples for p in partner[~tie].tolist()), mode
         assert tie.any() and boundary.any(), mode
+
+
+def test_records_closed_under_the_mirror():
+    # every emitted record's mirror, (-A, -B, -C) in families 1 and 2 and
+    # (-A, B, -C) in family 3, is a record with the same disc, conductor and
+    # r2, except for the boundary pairs, whose mirror is the other member of
+    # a boundary orbit and is counted through its canonical one
+    for mode in ("conductor", "discriminant"):
+        _, tal = _run_emit(10**5, mode)
+        rows = {tuple(r[:4]): tuple(r[4:]) for r in tal.records.tolist()}
+        assert len(rows) == len(tal.records) > 0, mode
+        unmatched = 0
+        for (fam, A, B, C), rest in rows.items():
+            mirror = (fam, -A, B if fam == 3 else -B, -C)
+            if mirror in rows:
+                assert rows[mirror] == rest, (mode, fam, A, B, C)
+            else:
+                assert (fam == 1 and C == -A) or (fam == 2 and C == -4 * A), (mode, fam, A, B, C)
+                unmatched += 1
+        assert unmatched == tal.excluded["boundary_orbits"] > 0, mode
 
 
 def _outer_value(fam, A, B, C):
@@ -724,7 +747,9 @@ def test_deep_check_matches_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(census, "_deep_check", recording)
-    for X, mode in ((10**5, "conductor"), (10**6, "discriminant")):
+    # X large enough for more than 1000 entries: each candidate stands for
+    # its mirror too, so a run checks one member of each pair
+    for X, mode in ((2 * 10**5, "conductor"), (3 * 10**6, "discriminant")):
         seen.clear()
         run_census(CensusConfig(x=X, mode=mode, families=(3,)))
         m, g, out = (np.concatenate(c) for c in zip(*seen))
@@ -1003,6 +1028,42 @@ def test_family12_r2_at_the_caps():
             got = census._r2_vec(fam, u, v, x, B * B - 4 * A * C)
             assert len(keep) > 3000 and got.tolist() == want, (mode, fam)
             assert set(want) == {0, 1, 2}, (mode, fam)
+
+
+def test_mirror_keeps_every_verdict():
+    # the engine classifies one member of each mirror pair, (A, B, C) and
+    # (-A, -B, -C) in families 1 and 2, (-A, B, -C) in family 3, and counts
+    # it for both: on seeded triples of every family, maximal or not and of
+    # every Galois type, the two agree on maximality, the tag, r2, |conductor|
+    # and the disc, and the mirror is (-u, -v, -x), or (-u, v, -x), in the
+    # enumeration's coordinates
+    from collections import Counter
+
+    from quartic_census.classify import family_real_signature
+
+    seeded = random.Random(23)
+    for fam in (1, 2, 3):
+        seen, maximal = Counter(), Counter()
+        for box in (3, 12, 60):
+            n = 0
+            while n < 300:
+                A, B, C = (seeded.randint(-box, box) for _ in range(3))
+                c = FamilyCoords(fam, A, B, C)
+                if A == 0 or disc_quartic(to_form(c)) == 0:
+                    continue
+                n += 1
+                m = FamilyCoords(fam, -A, B if fam == 3 else -B, -C)
+                u, v, x = _lattice(fam, A, B, C)
+                assert _lattice(fam, m.A, m.B, m.C) == (-u, v if fam == 3 else -v, -x), c
+                tag, ok = galois_tag(c), is_maximal(c).is_maximal
+                assert (galois_tag(m), is_maximal(m).is_maximal) == (tag, ok), c
+                assert family_real_signature(m).r2 == family_real_signature(c).r2, c
+                assert abs(conductor_poly(m)) == abs(conductor_poly(c)), c
+                assert disc_quartic(to_form(m)) == disc_quartic(to_form(c)), c
+                seen[tag] += 1
+                maximal[ok] += 1
+        assert set(seen) == {GaloisTag.D4, GaloisTag.C4, GaloisTag.V4, GaloisTag.REDUCIBLE}, (fam, seen)
+        assert min(maximal[True], maximal[False]) > 100, (fam, maximal)
 
 
 def test_v4_dual_route():
