@@ -40,11 +40,12 @@ chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
 pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
 whatever its size.  Classification takes the candidates in (u, v, x) too
 (_family_coords maps them to (A, B, C) for the 2-adic clauses and the
-records) and tests maximality cheapest first (see _classify_and_tally):
-the 2-adic clauses; the odd-part squarefree lookups of w and, in families
-1 and 2, of v (u is the outer value, whose odd part _outer_ok has passed);
-then the family-3 depth condition.  The 2-adic stage tests every candidate
-in full, the clauses that _outer_ok implies included.
+records) and tests maximality in two stages (see _classify_and_tally):
+the 2-adic clauses, then the odd-part squarefree lookups of w and of v in
+families 1 and 2 (u is the outer value, whose odd part _outer_ok has
+passed), or of y / gcd(u, v) in family 3, its depth condition.  The 2-adic
+stage tests every candidate in full, the clauses that _outer_ok implies
+included.
 
 Both sides build their rows at the canonical sign of u only (u > 0 in
 family 3).  The mirror sigma, (u, v, x) -> (-u, -v, -x) in families 1 and
@@ -68,12 +69,13 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from .arith import PackedSquarefree, primes_upto, vec_is_square, vec_isqrt
+from .arith import PackedSquarefree, vec_is_square, vec_isqrt
 # factorize is unused here, but perfbench/tracer.py times census.factorize
 from .arith import factorize  # noqa: F401
 from .forms import BinQuartForm, FamilyCoords, disc_quartic
@@ -337,7 +339,6 @@ class _Ctx:
         # values u <= isqrt(y_eff)
         sf_limit = self.y_eff // 16 if config.families == (1,) else self.y_eff
         self.sf = PackedSquarefree(max(sf_limit, 16))
-        self.deep_primes = _cube_root_primes(self.y_eff)
 
     def units(self) -> list[tuple[int, int]]:
         """The (family, outer value) pairs of the run: the outer values
@@ -367,10 +368,11 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     y is uv (u^2+v^2 in family 3) and w = B^2-4AC, so the conductor is y w
     and the disc y w^2.  The odd primes are handled by squarefree-odd-part
     tests, p=2 by the clause set; jointly these are exactly global
-    maximality.  The tests run cheapest first, each on the survivors of the
-    one before: the 2-adic clauses, the squarefree lookups, then family 3's
-    depth condition.  (A, B, C) come from _family_coords for the clauses,
-    and again on the survivors for family 3's pattern and the records.
+    maximality.  Two stages run, the second on the survivors of the first:
+    the 2-adic clauses, then the odd-part squarefree lookups of w and of v
+    (families 1 and 2) or of y / gcd(u, v) (family 3's depth condition, see
+    _deep_check).  (A, B, C) come from _family_coords for the clauses, and
+    again on the survivors for family 3's pattern and the records.
 
     gcd(A, B, C) = 1 needs no test of its own: an odd p dividing A, B and C
     puts p^2 in w, whose odd-part test rejects it, and 2 dividing all three
@@ -388,7 +390,7 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     (-A, B, -C).  The mirror keeps y, w and so the conductor, disc and
     bound, every clause of the filter (each tests a term that the mirror
     maps to +-itself, but family 3's A - B + C goes to -(A + B + C), which
-    is 0 mod 4 together with it, as that clause needs B even), y and
+    is 0 mod 4 together with it, as that clause needs B even), the
     gcd(u, v) of the depth condition, r2 and the Galois type.  So each
     candidate weighs 2 in the counts and exclusions, and emits its mirror's
     record too.  The boundary pairs v = -u (families 1 and 2) weigh 1: the
@@ -401,11 +403,8 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     u, v, x, y, w = _compact((A != 0) & vec_is_maximal_at(fam, A, B, C, 2), u, v, x, y, w)
     odd_sf = ctx.sf.odd_squarefree
     ok = odd_sf(w)
-    if fam != 3:
-        ok &= odd_sf(v)
+    ok &= odd_sf(v) if fam != 3 else _deep_check(ctx, y, np.gcd(u, v))
     u, v, x, y, w = _compact(ok, u, v, x, y, w)
-    if fam == 3:
-        u, v, x, y, w = _compact(_fam3_deep_condition(ctx, u, v, y), u, v, x, y, w)
     if len(u) == 0:
         return
 
@@ -491,44 +490,13 @@ def _fam3_type1_pattern(A, B, C):
     return out
 
 
-def _fam3_deep_condition(ctx: _Ctx, u, v, y):
-    """Family-3 odd-prime depth condition on y = u^2 + v^2: nonzero mod p^2
-    in general, but only mod p^3 at odd p dividing both u and v (so both
-    4A - C and B, as v = 2B)."""
-    yo = y >> np.bitwise_count((y & -y) - 1)
-    out = ctx.sf.lookup(yo)
-    tricky = np.flatnonzero(~out)
-    if len(tricky):
-        out[tricky] = _deep_check(ctx, yo[tricky], np.gcd(u[tricky], v[tricky]))
-    return out
-
-
-def _cube_root_primes(Y: int) -> np.ndarray:
-    """The odd primes p with p^3 <= Y."""
-    p = primes_upto(int(Y ** (1 / 3)) + 1)
-    return p[(p > 2) & (p**3 <= Y)]
-
-
-def _deep_check(ctx: _Ctx, m, g):
-    """The depth condition at odd y = m <= y_eff, g = gcd(u, v): no
-    odd p with p^2 | m unless p | g and p^3 does not divide m.
-
-    The primes with p^3 <= y_eff are tested at every entry at once and
-    divided out, p^2 at most, which is all of p where the entry passes;
-    what is left there has at most two prime factors, so it is squarefree
-    or the square of a prime r, and r^3 > m leaves only r | g to test."""
-    i, j = np.nonzero(m[:, None] % ctx.deep_primes == 0)  # the p | m
-    p = ctx.deep_primes[j]
-    q = m[i] // p
-    twice = q % p == 0
-    ok = np.ones(len(m), dtype=bool)
-    ok[i[twice & ((g[i] % p != 0) | (q % (p * p) == 0))]] = False
-    div = np.ones_like(m)
-    np.multiply.at(div, i, np.where(twice, p * p, p))  # divides m
-    m = m // div
-    square = np.flatnonzero(ok & ~ctx.sf.lookup(m))
-    ok[square] = g[square] % vec_isqrt(m[square]) == 0
-    return ok
+def _deep_check(ctx: _Ctx, y, g):
+    """Family 3's depth condition on y = u^2 + v^2, g = gcd(u, v) >= 1: at
+    each odd p, v_p(y) <= 1, or v_p(y) <= 2 where p | g.  As g^2 | y, that
+    is v_p(y / g) = v_p(y) - v_p(g) <= 1 at each odd p (where v_p(g) >= 2,
+    both fail), so the odd part of y / g is squarefree; y / g <= y <= y_eff,
+    within the table."""
+    return ctx.sf.odd_squarefree(y // g)
 
 
 # ---------------------------------------------------------------------------
@@ -793,13 +761,9 @@ def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
         yield u[start:], vside[start:]
 
 
-#: The context of the shards being forked; _run_shard_fork reads it in the
-#: children, whose only argument is their units.
-_FORK_CTX = None
-
-
-def _run_shard_fork(units):
-    tal = _run_shard(_FORK_CTX, units, Tallies(_FORK_CTX.config.galois))
+def _run_shard_fork(job):
+    ctx, units = job  # one argument, as perfbench/tracer.py's wrapper takes one
+    tal = _run_shard(ctx, units, Tallies(ctx.config.galois))
     # joined here: sent as blocks, the tables stayed on the parent's heap
     # after its join (VmHWM 182 against 154 MB, conductor X = 1e7, 2 shards)
     tal.records
@@ -812,10 +776,7 @@ def run_census(config: CensusConfig) -> Tallies:
     ctx = _Ctx(config)
     units = ctx.units()
     tal = Tallies(config.galois)
-    if config.shards == 1:
-        _run_shard(ctx, units, tal)
-    else:
-        _run_forked(ctx, units, tal)
+    _run_forked(ctx, units, tal)
     _sort_records(tal.records)
     return tal
 
@@ -823,24 +784,21 @@ def run_census(config: CensusConfig) -> Tallies:
 def _run_forked(ctx: _Ctx, units, tal: Tallies) -> None:
     """Run units by stride on config.shards processes into tal: shard 0 in
     this process, every other shard in a forked child (see _shard_child)
-    that pickles its result into a pipe.  The children's results are read,
+    that pickles its result into a pipe; every shard count takes this path,
+    and on one shard nothing is forked.  The children's results are read,
     the children reaped and the results merged in shard order; a child's
     exception is raised here.  Whatever ends the call, no child outlives it:
     those not yet reaped are killed and reaped on the way out.  The results
     are dropped on return, so tal holds the only reference to each table."""
-    import signal  # imported here, as a census on one shard does not need it
-
-    global _FORK_CTX
     shards = ctx.config.shards
     chunks = [units[k::shards] for k in range(shards)]
     live = {}  # pid -> read end of its pipe, for every child not yet reaped
-    _FORK_CTX = ctx
     try:
         for chunk in chunks[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _shard_child(chunk, w, [r, *(fh.fileno() for fh in live.values())])
+                _shard_child((ctx, chunk), w, [r, *(fh.fileno() for fh in live.values())])
             os.close(w)
             live[pid] = os.fdopen(r, "rb")
         _run_shard(ctx, chunks[0], tal)
@@ -862,16 +820,15 @@ def _run_forked(ctx: _Ctx, units, tal: Tallies) -> None:
                 raise value
             tal.merge(value[0])
     finally:
-        _FORK_CTX = None
         for pid, fh in live.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _shard_child(units, w: int, inherited: list[int]) -> None:
-    """The body of a forked shard child: it runs _run_shard_fork (looked up
-    as a module global, so a wrapper of that name runs too) and pickles
+def _shard_child(job, w: int, inherited: list[int]) -> None:
+    """The body of a forked shard child: it runs _run_shard_fork(job) (looked
+    up as a module global, so a wrapper of that name runs too) and pickles
     (True, result) or (False, exception) into the pipe w.  An exception that
     does not survive pickling is sent as a RuntimeError with its traceback.
     It first closes the read ends it inherited, its own among them, so that
@@ -885,7 +842,7 @@ def _shard_child(units, w: int, inherited: list[int]) -> None:
             os.close(fd)
         with os.fdopen(w, "wb") as out:
             try:
-                result = _run_shard_fork(units)
+                result = _run_shard_fork(job)
             except BaseException as exc:  # sent to the parent, whatever it is
                 out.write(_pickled_error(exc))
             else:

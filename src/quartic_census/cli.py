@@ -306,6 +306,11 @@ def cmd_census(args, globals_) -> dict:
     )
 
     r2 = None if args.r2 in (None, "all") else int(args.r2)
+    # parsed as --shards is, also where it came from QC_SHARDS or --config
+    try:
+        shards = parse_exact_int(globals_["shards"])
+    except argparse.ArgumentTypeError as exc:
+        _usage_error(f"shards: {exc}")
     try:
         cfg = CensusConfig(
             x=args.x,
@@ -313,7 +318,7 @@ def cmd_census(args, globals_) -> dict:
             galois=args.galois,
             r2=r2,
             families=_families(args.families),
-            shards=int(globals_["shards"]),
+            shards=shards,
             emit=bool(args.emit),
         )
     except ValueError as exc:

@@ -257,13 +257,13 @@ def test_forked_shard_failures(monkeypatch, alarm):
     class LocalError(Exception):
         pass  # defined in a function, so it cannot be pickled by name
 
-    def shard(units):
+    def shard(job):
         # a child raises the failure of the case, or exits with it if an int
         if os.getpid() != parent:
             if isinstance(failure, int):
                 os._exit(failure)
             raise failure
-        return real(units)
+        return real(job)
 
     monkeypatch.setattr(census, "_run_shard_fork", shard)
     cases = [
@@ -737,13 +737,15 @@ def test_deep_check_matches_reference(monkeypatch):
     import numpy as np
 
     from quartic_census import census
-    from quartic_census.arith import factorize
+
+    def odd(y):
+        return y >> ((y & -y).bit_length() - 1)
 
     real, seen = census._deep_check, []
 
-    def recording(ctx, m, g):
-        out = real(ctx, m, g)
-        seen.append((m.copy(), g.copy(), out))
+    def recording(ctx, y, g):
+        out = real(ctx, y, g)
+        seen.append((y.copy(), g.copy(), out))
         return out
 
     monkeypatch.setattr(census, "_deep_check", recording)
@@ -752,50 +754,41 @@ def test_deep_check_matches_reference(monkeypatch):
     for X, mode in ((2 * 10**5, "conductor"), (3 * 10**6, "discriminant")):
         seen.clear()
         run_census(CensusConfig(x=X, mode=mode, families=(3,)))
-        m, g, out = (np.concatenate(c) for c in zip(*seen))
-        assert len(m) > 1000 and out.any() and not out.all(), mode
-        assert out.tolist() == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())], mode
-    # constructed cases at conductor X = 1e5: y_eff = 99,999, so the
-    # tested primes run up to 43 and 47^3 > y_eff
+        y, g, out = (np.concatenate(c) for c in zip(*seen))
+        assert len(y) > 1000 and out.any() and not out.all(), mode
+        assert out.tolist() == [deep_check_reference(odd(a), b) for a, b in zip(y.tolist(), g.tolist())], mode
+    # constructed points (u, v) at conductor X = 1e5, y = u^2 + v^2 and
+    # g = gcd(u, v), as the filter passes them
     ctx = census._Ctx(CensusConfig(x=10**5, families=(3,)))
     Y = ctx.y_eff
-    assert ctx.deep_primes[-1] == 43 and Y == ctx.sf.limit == 99_999
-    r = 313  # the largest prime with r^2 <= Y
+    assert Y == ctx.sf.limit == 99_999
     cases = [
-        (9 * 5, 3, True),  # p^2 | y with p | g
-        (9 * 5, 5, False),  # ... and with p not dividing g
-        (27 * 7, 3, False),  # p^3 | y, p | g
-        (27 * 7, 0, False),
-        (53 * 53, 53, True),  # the square of a prime above the cube root
-        (53 * 53, 2 * 53 * 7, True),
-        (53 * 53, 1, False),
-        (53 * 53 * 9, 3 * 53, True),
-        (53 * 53 * 9, 53, False),
-        (53 * 59, 1, True),  # two primes above the cube root
-        (47 * 53 * 3, 1, True),
-        (43 * 43 * 47, 43, True),  # the largest tested prime
-        (43 * 43 * 47, 1, False),
-        (43**3, 43, False),
-        (Y, 3, True),  # y_odd at the limit of the table: 9 * 41 * 271
-        (Y, 1, False),
-        (r * r, r, True),
-        (r * r, 1, False),
-        (1, 1, True),
+        (3, 6, True),  # y = 9 * 5: p^2 exactly divides y, and p | g
+        (11, 2, False),  # y = 5^3: p^2 | y with p not dividing g
+        (5, 10, False),  # ... and p^3 | y with p | g
+        (9, 0, False),  # v = 0, so g = u: y = 3^4
+        (53, 0, True),  # y = 53^2, g = 53
+        (45, 28, False),  # ... with g = 1
+        (159, 0, True),  # y = 9 * 53^2, g = 3 * 53
+        (6, 12, True),  # an even g = 6: y = 4 * 9 * 5
+        (18, 0, False),  # an even g = 18: y = 4 * 3^4
+        (313, 0, True),  # the largest prime r with r^2 <= Y
+        (25, 312, False),  # y = 313^2 with g = 1
+        (1, 0, True),
     ]
-    m = np.array([c[0] for c in cases], dtype=np.int64)
-    g = np.array([c[1] for c in cases], dtype=np.int64)
-    got = real(ctx, m, g).tolist()
+    u = np.array([c[0] for c in cases], dtype=np.int64)
+    v = np.array([c[1] for c in cases], dtype=np.int64)
+    y, g = u * u + v * v, np.gcd(u, v)
+    got = real(ctx, y, g).tolist()
     assert got == [c[2] for c in cases]
-    assert got == [deep_check_reference(a, b) for a, b, _ in cases]
-    # every odd y <= Y that is not squarefree, with g = 1, with g the
-    # product of y's primes and with a seeded g
-    seeded = random.Random(12)
-    m = np.arange(1, Y + 1, 2, dtype=np.int64)
-    m = m[~ctx.sf.lookup(m)]
-    rad = np.array([np.prod(list(factorize(a))) for a in m.tolist()], dtype=np.int64)
-    for g in (np.ones_like(m), rad, np.array([seeded.randint(0, 5000) for _ in m], dtype=np.int64)):
-        got = real(ctx, m, g).tolist()
-        assert got == [deep_check_reference(a, b) for a, b in zip(m.tolist(), g.tolist())]
+    assert got == [deep_check_reference(odd(a), b) for a, b in zip(y.tolist(), g.tolist())]
+    # every point with u >= 1 and even v >= 0 whose y is within the table
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(1, isqrt(Y) + 1), np.arange(0, isqrt(Y) + 1, 2)))
+    u, v = u[u * u + v * v <= Y], v[u * u + v * v <= Y]
+    y, g = u * u + v * v, np.gcd(u, v)
+    assert y.max() == Y - 2 and g.max() == isqrt(Y)  # the top of the table, and g = u at v = 0
+    got = real(ctx, y, g).tolist()
+    assert got == [deep_check_reference(odd(a), b) for a, b in zip(y.tolist(), g.tolist())]
 
 
 def _pivot_bounds(X, mode):
@@ -847,7 +840,7 @@ def test_pivot_int64_envelope(monkeypatch):
     import numpy as np
 
     from quartic_census import census
-    from quartic_census.arith import is_prime
+    from quartic_census.arith import vec_isqrt
 
     real_isqrt, seen = census.vec_isqrt, []
 
@@ -884,19 +877,19 @@ def test_pivot_int64_envelope(monkeypatch):
         census._sort_records(rec)
         assert rec[:, 1].tolist() == [-a, a], mode
     # the family-3 depth check at the caps (the squarefree table is not
-    # built): the tested primes are the odd p with p^3 <= y_eff, so a
-    # stripped y_odd is squarefree or the square of a prime r; m only
-    # shrinks from y_odd <= y_eff, within the table, and r^2 <= m
+    # built) looks up y // g with g = gcd(u, v) >= 1, as u >= 1, so
+    # y // g <= y <= y_eff, within the table; checked on the outermost
+    # point (u, v) of each u, with v the largest even value
     for X, mode in ((census.X_MAX_CONDUCTOR, "conductor"), (census.X_MAX_DISC, "discriminant")):
         with monkeypatch.context() as mp:
             mp.setattr(census, "PackedSquarefree", lambda limit: SimpleNamespace(limit=limit))
             ctx = census._Ctx(CensusConfig(x=X, mode=mode, families=(3,)))
-        Y, primes = ctx.y_eff, ctx.deep_primes.tolist()
-        p = primes[-1]
-        assert primes == [q for q in range(3, p + 1) if is_prime(q)], mode
-        assert next(q for q in range(p + 2, 2 * p) if is_prime(q)) ** 3 > Y, mode
-        assert p**3 <= Y == _pivot_bounds(X, mode)["u^2 + v^2"] <= ctx.sf.limit, mode
-        assert isqrt(Y) ** 2 <= Y < 2**62, mode
+        Y = ctx.y_eff
+        assert Y == _pivot_bounds(X, mode)["u^2 + v^2"] < 2**62, mode
+        u = np.arange(1, isqrt(Y) + 1, dtype=np.int64)
+        v = vec_isqrt(Y - u * u) & ~1
+        y = u * u + v * v
+        assert 0 < (y // np.gcd(u, v)).max() <= y.max() <= Y <= ctx.sf.limit, mode
     # and the bounds hold in a run: the largest square-root argument of a
     # census with every family-1 and family-2 outer value on the v side is
     # within its bound, and so are the filter's products on every candidate

@@ -254,6 +254,45 @@ def test_env_config_precedence(capsys, tmp_path, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_shards_parsed_alike_from_every_source(capsys, tmp_path, monkeypatch, source):
+    # QC_SHARDS and a config file's shards= are parsed as --shards is:
+    # "2e0" runs on 2 shards with --shards 2's summary, and a value that is
+    # not an integer is a usage error that names shards
+    from quartic_census import census
+
+    def argv_with(value):
+        census_argv = ["census", "conductor", "--x", "3000"]
+        if source == "flag":
+            return ["--shards", value, *census_argv]
+        if source == "env":
+            monkeypatch.setenv("QC_SHARDS", value)
+            return census_argv
+        path = tmp_path / "qc.conf"
+        path.write_text(f"shards={value}\n")
+        return ["--config", str(path), *census_argv]
+
+    real, shards = census.run_census, []
+
+    def recording(config):
+        shards.append(config.shards)
+        return real(config)
+
+    monkeypatch.setattr(census, "run_census", recording)
+    _, want = run_cli(capsys, "--shards", "2", "census", "conductor", "--x", "3000")
+    rc, out = run_cli(capsys, *argv_with("2e0"))
+    assert rc == 0 and out == want and shards == [2, 2]
+    for bad in ("abc", "1.5"):
+        if source == "flag":
+            # argparse rejects the flag itself, naming it, with its usage
+            with pytest.raises(SystemExit) as exc:
+                main(argv_with(bad))
+            assert exc.value.code == 2 and "--shards" in capsys.readouterr().err
+        else:
+            err = assert_one_line_error(capsys, argv_with(bad))
+            assert err.startswith("error: shards: ") and repr(bad) in err, err
+
+
 def _run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter, so that imports by other tests
     cannot hide one, with no QC_ settings."""
