@@ -32,20 +32,20 @@ either side runs (see _outer_ok): in families 1 and 2 those with an odd
 part that is not squarefree, in family 1 those with A = 0 mod 4, and in
 families 2 and 3 those with u = 0 mod 4, where every candidate has
 2B + C = 0 or C = 0 mod 4 and so fails a 2-adic clause.
-Every family runs in blocks of the remaining outer values, in increasing
-order, that close once their scan reaches BLOCK_XSCAN; a block turns its
-pairs into rows of stepped ranges (of v on the x side, of x on the v
-side), and the rows are expanded into candidates that are classified in
-chunks of at most CHUNK_CANDIDATES.  The v side also solves its pairs in
-pieces of at most CHUNK_CANDIDATES, so a block's memory stays bounded
-whatever its size.  Classification takes the candidates in (u, v, x) too
-(_family_coords maps them to (A, B, C) for the 2-adic clauses and the
-records) and tests maximality in two stages (see _classify_and_tally):
-the 2-adic clauses, then the odd-part squarefree lookups of w and of v in
-families 1 and 2 (u is the outer value, whose odd part _outer_ok has
-passed), or of y / gcd(u, v) in family 3, its depth condition.  The 2-adic
-stage tests every candidate in full, the clauses that _outer_ok implies
-included.
+A shard splits each family's remaining outer values by side once (see
+_vside) and runs each side as one unit: one stream of rows of stepped
+ranges (of v on the x side, of x on the v side), expanded into candidates
+that are classified in chunks of at most CHUNK_CANDIDATES.  The x side
+builds its (u, x) pairs for a few outer values at a time (see
+BLOCK_XSCAN), and the v side solves its pairs in pieces of at most
+CHUNK_CANDIDATES, so a unit's memory stays bounded whatever its size.
+Classification takes the candidates in (u, v, x) too (_family_coords maps
+them to (A, B, C) for the 2-adic clauses and the records) and tests
+maximality in two stages (see _classify_and_tally): the 2-adic clauses,
+then the odd-part squarefree lookups of w and of v in families 1 and 2 (u
+is the outer value, whose odd part _outer_ok has passed), or of
+y / gcd(u, v) in family 3, its depth condition.  The 2-adic stage tests
+every candidate in full, the clauses that _outer_ok implies included.
 
 Both sides build their rows at the canonical sign of u only (u > 0 in
 family 3).  The mirror sigma, (u, v, x) -> (-u, -v, -x) in families 1 and
@@ -57,10 +57,10 @@ mirror: it weighs 2 in the tallies and emits both records, and a boundary
 pair, whose mirror is counted through another boundary pair, weighs 1.
 
 Shards partition the outer values by stride; every aggregate is a
-commutative sum, so neither the shard count, the block and chunk sizes nor
-the side chosen for an outer value can change any output.  Shard 0 runs in
-the calling process and every other shard in a forked child that pickles
-its tallies back through a pipe (see _run_forked).
+commutative sum, so neither the shard count, the chunk sizes nor the side
+chosen for an outer value can change any output.  Shard 0 runs in the
+calling process and every other shard in a forked child that pickles its
+tallies back through a pipe (see _run_forked).
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ X_MAX_V4_COUNT = 10**16
 #: Every shard but the first is a forked process; more are refused.
 SHARDS_MAX = 64
 
-#: A block of outer values closes once its scan, 2*xmax+1 per value on the
-#: x side and its pairs on the v side, reaches this size.  Blocks amortize
-#: the per-call numpy overhead; larger ones gain little time and raise the
-#: peak RSS.
+#: The x side builds the (u, x) pairs of ceil(BLOCK_XSCAN / (2*xmax + 1))
+#: outer values at a time, which bounds their memory; larger pieces gain
+#: little time and raise the peak RSS.  Costing each value by its exact scan
+#: (the xlen of _vside) builds 2-8x as many values at once and raised the
+#: in-process peak RSS at X = 6e5 from 34-36 to 40-41 MB (2-vCPU VM).
 BLOCK_XSCAN = 1 << 15
 #: A family-1 or family-2 outer value is enumerated from the v side when its
 #: pairs number at most this many times its x-scan: an x-side (u, x) pair
@@ -427,11 +428,11 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     keep = v4 if cfg.galois == "v4" else d4
     if cfg.galois == "d4":
         tal.excluded["v4"] += int(weight[v4].sum())
-    tal.excluded["boundary_orbits"] += int((keep & boundary).sum())
 
     r2v = _r2_vec(fam, u, v, x, w)
     if cfg.r2 is not None:
         keep = keep & (r2v == cfg.r2)
+    tal.excluded["boundary_orbits"] += int((keep & boundary).sum())
     for r2 in (0, 1, 2):
         tal.counts[fam][r2] += int(weight[keep & (r2v == r2)].sum())
 
@@ -511,43 +512,48 @@ def _pruned_xs(w: _Windows, u: int):
 
 
 # perfbench/tracer.py times each family by these three names
-def _family1_unit(ctx: _Ctx, A: np.ndarray, vside: np.ndarray, tal: Tallies):
+def _family1_unit(ctx: _Ctx, A: np.ndarray, vside: bool, tal: Tallies):
     _unit(ctx, 1, A, vside, tal)
 
 
-def _family2_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+def _family2_unit(ctx: _Ctx, u: np.ndarray, vside: bool, tal: Tallies):
     _unit(ctx, 2, u, vside, tal)
 
 
-def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: np.ndarray, tal: Tallies):
+def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: bool, tal: Tallies):
     _unit(ctx, 3, u, vside, tal)
 
 
-def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: np.ndarray, tal: Tallies):
-    """One block of outer values u of family fam, each from the side (v side
-    where vside) that _blocks picked for it."""
-    if not vside.all():
-        _xside(ctx, fam, u[~vside], tal)
-    if vside.any():
-        _emit_vside(ctx, fam, _vrows(ctx, fam, u[vside]), tal)
+def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: bool, tal: Tallies):
+    """The outer values u of family fam that one shard runs on one side, the
+    v side if vside, else the x side, as one stream of row batches."""
+    rows = _vband(ctx, fam, u) if vside else _xside(ctx, fam, u)
+    _emit_rows(ctx, fam, rows, tal, over_x=vside)
 
 
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
-    """Which family-1 or family-2 outer values enumerate from the v side:
-    those whose pairs number at most X_PAIR_COST times their x-scan, the
-    signed x of one parity of _pruned_xs, about as many as its |x|."""
-    w = ctx.windows
+    """Which outer values enumerate from the v side: every one in family 3,
+    and in families 1 and 2 those whose pairs number at most X_PAIR_COST
+    times their x-scan, the signed x of one parity of _pruned_xs, about as
+    many as its |x|."""
     u = np.asarray(us, dtype=np.int64)
+    if fam == 3:
+        return np.ones(len(u), dtype=bool)
+    w = ctx.windows
     xlen = len(w.reach_sorted) - np.searchsorted(w.reach_sorted, u * u)
     return _v_pairs(ctx, fam, u) <= X_PAIR_COST * xlen
 
 
-def _xside(ctx: _Ctx, fam: int, us: np.ndarray, tal: Tallies):
-    """The (u, x) pairs of a block over their pruned x-ranges, as rows of
-    stepped v ranges."""
-    xs_of = [_pruned_xs(ctx.windows, u) for u in us.tolist()]
-    u = np.repeat(us, [len(xs) for xs in xs_of])
-    _emit_rows(ctx, fam, _xrows(ctx.windows, fam, u, np.concatenate(xs_of)), tal)
+def _xside(ctx: _Ctx, fam: int, us: np.ndarray):
+    """Row batches of stepped v ranges of the (u, x) pairs of the outer
+    values us over their pruned x-ranges.  The pairs are built for
+    ceil(BLOCK_XSCAN / (2*xmax + 1)) outer values at a time."""
+    w = ctx.windows
+    per = -(-BLOCK_XSCAN // (2 * w.xmax + 1))
+    for lo in range(0, len(us), per):
+        xs_of = [_pruned_xs(w, u) for u in us[lo : lo + per].tolist()]
+        u = np.repeat(us[lo : lo + per], [len(xs) for xs in xs_of])
+        yield from _xrows(w, fam, u, np.concatenate(xs_of))
 
 
 #: The canonical sign of u in families 1 and 2, the only one their rows are
@@ -606,21 +612,21 @@ def _vrows(ctx: _Ctx, fam: int, u: np.ndarray) -> list[tuple]:
 def _v_pairs(ctx: _Ctx, fam: int, u: np.ndarray) -> np.ndarray:
     """The number of (u_v, v) pairs the v side stands for at each outer
     value u: twice those it enumerates, each with its mirror, as the x-scan
-    that _vside and _blocks weigh it against counts x whose rows stand for
-    both signs of u too."""
+    that _vside weighs it against counts x whose rows stand for both signs
+    of u too."""
     return 2 * sum(np.maximum(count, 0) for _, _, count, _ in _vrows(ctx, fam, u))
 
 
-def _emit_vside(ctx, fam, vrows, tal):
-    """Classify the candidates of v-side rows: the (u_v, v) pairs are
-    expanded and tested against their band at most CHUNK_CANDIDATES at a
-    time, and the x values of the live ones are solved in batches."""
-    u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in vrows)))
+def _vband(ctx: _Ctx, fam: int, us: np.ndarray):
+    """Row batches of stepped x ranges of the v side at the outer values us:
+    the (u_v, v) pairs of _vrows are expanded and tested against their band
+    at most CHUNK_CANDIDATES at a time, and the x values of the live ones
+    are solved in batches of at least CHUNK_CANDIDATES pairs."""
+    u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in _vrows(ctx, fam, us))))
     pieces = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
     live = (_live_pairs(ctx, fam, u_v[r], v) for r, v in pieces)
-    batches = _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0]))
-    rows = (rows for pairs in batches for rows in _band_rows(ctx, fam, *pairs))
-    _emit_rows(ctx, fam, rows, tal, over_x=True)
+    for pairs in _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0])):
+        yield from _band_rows(ctx, fam, *pairs)
 
 
 def _pair_y(fam, u_v, v):
@@ -713,7 +719,7 @@ def _emit_rows(ctx, fam, batches, tal, over_x=False):
     """Classify the candidates of a stream of row batches (u, v, x ranges) if
     over_x, else (u, x, v ranges), with w = +-(x^2 - y)/4 (minus in family
     3).  Batches are held back until they reach CHUNK_CANDIDATES candidates,
-    so one block's rows never sit in memory all at once, and expanded at
+    so one unit's rows never sit in memory all at once, and expanded at
     most CHUNK_CANDIDATES candidates per classification pass."""
     for u_v, fixed, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
         for r, vals in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
@@ -729,36 +735,17 @@ def _emit_rows(ctx, fam, batches, tal, over_x=False):
 
 
 def _run_shard(ctx: _Ctx, units, tal: Tallies) -> Tallies:
-    """Run units into tal, each family in blocks of its outer values."""
+    """Run units into tal: the outer values of each family, split once by
+    _vside, in at most two calls of its unit, one per side (family 3 has
+    the v side only)."""
     for fam in ctx.config.families:
-        outers = [outer for f, outer in units if f == fam]
+        u = np.array([outer for f, outer in units if f == fam], dtype=np.int64)
+        vside = _vside(ctx, fam, u)
         unit = (_family1_unit, _family2_unit, _family3_unit)[fam - 1]
-        for block, vside in _blocks(ctx, fam, outers):
-            unit(ctx, block, vside, tal)
+        for side in (False, True):
+            if (vside == side).any():
+                unit(ctx, u[vside == side], side, tal)
     return tal
-
-
-def _blocks(ctx: _Ctx, fam: int, outers: list[int]):
-    """The outer values in the order given, increasing but not consecutive
-    (_Ctx.units leaves out those that cannot pass the filter), in blocks
-    that close once their scan reaches BLOCK_XSCAN: its v pairs for a u on
-    the v side, 2*xmax+1 on the x side.  Yields (outer values, v-side mask)
-    array pairs; the side of every outer value is picked here, once (family
-    3 has only the v side)."""
-    u = np.asarray(outers, dtype=np.int64)
-    size = _v_pairs(ctx, fam, u)
-    vside = np.ones(len(u), dtype=bool)
-    if fam != 3:
-        vside = _vside(ctx, fam, outers)
-        size = np.where(vside, size, 2 * ctx.windows.xmax + 1)
-    start, n = 0, 0
-    for i, k in enumerate(size.tolist()):
-        n += k
-        if n >= BLOCK_XSCAN:
-            yield u[start : i + 1], vside[start : i + 1]
-            start, n = i + 1, 0
-    if start < len(u):
-        yield u[start:], vside[start:]
 
 
 def _run_shard_fork(job):

@@ -42,6 +42,14 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors of one line;
+    add_subparsers builds its subparsers of the same class."""
+
+    def error(self, message: str):
+        _usage_error(message)
+
+
 def _open_for_write(path: str, what: str, mode: str = "w"):
     """path opened for writing in mode, text by default, or a usage error
     naming the option what that gave it."""
@@ -65,18 +73,26 @@ def _parse_arg(parse, text: str, what: str):
         _usage_error(f"bad {what} {text!r}: {exc}")
 
 
-_GLOBAL_DEFAULTS = {"format": "json", "shards": "1", "out": "", "manifest": ""}
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not csv or json")
+    return text
 
 
-def _resolve(name: str, flag_value, config_file: dict) -> str:
-    if flag_value is not None:
-        return str(flag_value)
-    env = os.environ.get(f"QC_{name.upper()}")
-    if env is not None:
-        return env
-    if name in config_file:
-        return config_file[name]
-    return _GLOBAL_DEFAULTS[name]
+#: The default and the parser of each global option.
+_GLOBALS = {"format": ("json", _parse_format), "shards": ("1", parse_exact_int), "out": ("", str), "manifest": ("", str)}
+
+
+def _resolve(name: str, flag_value, config_file: dict):
+    """The global option name from its flag, else QC_<NAME>, else the config
+    file, else its default, parsed alike whatever its source; a bad value is
+    a usage error that names the option."""
+    default, parse = _GLOBALS[name]
+    text = flag_value if flag_value is not None else os.environ.get(f"QC_{name.upper()}")
+    try:
+        return parse(config_file.get(name, default) if text is None else text)
+    except argparse.ArgumentTypeError as exc:
+        _usage_error(f"{name}: {exc}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -306,11 +322,6 @@ def cmd_census(args, globals_) -> dict:
     )
 
     r2 = None if args.r2 in (None, "all") else int(args.r2)
-    # parsed as --shards is, also where it came from QC_SHARDS or --config
-    try:
-        shards = parse_exact_int(globals_["shards"])
-    except argparse.ArgumentTypeError as exc:
-        _usage_error(f"shards: {exc}")
     try:
         cfg = CensusConfig(
             x=args.x,
@@ -318,7 +329,7 @@ def cmd_census(args, globals_) -> dict:
             galois=args.galois,
             r2=r2,
             families=_families(args.families),
-            shards=shards,
+            shards=globals_["shards"],
             emit=bool(args.emit),
         )
     except ValueError as exc:
@@ -383,9 +394,10 @@ def cmd_constants(args, globals_) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quartic-census")
-    ap.add_argument("--format", choices=("csv", "json"), default=None)
-    ap.add_argument("--shards", type=parse_exact_int, default=None)
+    # the global values are parsed in main, once they are resolved
+    ap = _Parser(prog="quartic-census")
+    ap.add_argument("--format", default=None)
+    ap.add_argument("--shards", default=None)
     ap.add_argument("--out", default=None)
     ap.add_argument("--manifest", default=None)
     ap.add_argument("--config", default=None, help="key=value config file")
@@ -444,12 +456,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     cfg_file = _load_config_file(args.config)
-    globals_ = {
-        name: _resolve(name, getattr(args, name, None), cfg_file)
-        for name in _GLOBAL_DEFAULTS
-    }
-    if globals_["format"] not in ("csv", "json"):
-        _usage_error(f"format must be csv or json, got {globals_['format']!r}")
+    globals_ = {name: _resolve(name, getattr(args, name), cfg_file) for name in _GLOBALS}
     with contextlib.ExitStack() as files:
         # opened before the command runs, so a path that cannot be written
         # fails at once, not after the work
@@ -465,14 +472,14 @@ def main(argv=None) -> int:
         if manifest:
             import hashlib
 
-            hashes = {"summary": hashlib.sha256(
-                json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-            ).hexdigest()}
+            from .census import summary_json
+
+            hashes = {"summary": hashlib.sha256(summary_json(payload).encode()).hexdigest()}
             if csv_blob is not None:
                 hashes["csv"] = hashlib.sha256(csv_blob.encode()).hexdigest()
             config_echo = dict(globals_)
             config_echo.update(
-                {k: v for k, v in vars(args).items() if k not in ("fn",) and v is not None}
+                {k: v for k, v in vars(args).items() if k not in ("fn", *globals_) and v is not None}
             )
             _write_manifest(
                 manifest,

@@ -333,21 +333,138 @@ def _force_side(monkeypatch, fam, vside):
 
 @pytest.mark.parametrize("size", [1, 10**9])
 def test_block_and_chunk_edges(monkeypatch, size):
-    # one outer value per block, one (u, v) pair per v-side piece and one
-    # candidate per classification pass, or the whole family in one block and
-    # one pass: off-by-ones at edges show here
+    # the x-side pairs of one outer value per chunk, one (u, v) pair per
+    # v-side piece and one candidate per classification pass, or each side's
+    # pairs in one chunk and one pass: off-by-ones at edges show here
     from quartic_census import census
 
     monkeypatch.setattr(census, "BLOCK_XSCAN", size)
     monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
     for mode, pinned in PINNED_HASH_2E4.items():
         # families 1 and 2 run on both sides here, so the pairs of the v side
-        # are split into one-pair pieces or merged into one block as well
+        # are split into one-pair pieces or merged into one piece as well
         ctx = census._Ctx(CensusConfig(x=20000, mode=mode))
         for fam in (1, 2):
             vside = census._vside(ctx, fam, [u for f, u in ctx.units() if f == fam])
             assert vside.any() and not vside.all(), (mode, fam)
         assert _hash_2e4(mode) == pinned, mode
+
+
+def test_one_unit_per_side(monkeypatch):
+    # a shard calls each family's unit at most once per side, with a bool
+    # side and exactly the outer values that _vside puts on that side; family
+    # 3 runs on the v side only.  On one shard and on each half of a 2-shard
+    # split, in both modes
+    import numpy as np
+
+    from quartic_census import census
+
+    calls = []
+    for fam in (1, 2, 3):
+
+        def unit(ctx, u, vside, tal, fam=fam, real=getattr(census, f"_family{fam}_unit")):
+            calls.append((fam, u.tolist(), vside))
+            real(ctx, u, vside, tal)
+
+        monkeypatch.setattr(census, f"_family{fam}_unit", unit)
+    for mode in ("conductor", "discriminant"):
+        cfg = CensusConfig(x=20000, mode=mode)
+        ctx = census._Ctx(cfg)
+        units = ctx.units()
+        for k, part in ((None, units), (0, units[0::2]), (1, units[1::2])):
+            calls.clear()
+            if k is None:
+                run_census(cfg)
+            else:
+                census._run_shard(ctx, part, Tallies("d4"))
+            for fam in (1, 2, 3):
+                outers = np.array([u for f, u in part if f == fam], dtype=np.int64)
+                vside = census._vside(ctx, fam, outers)
+                mine = [(u, side) for f, u, side in calls if f == fam]
+                sides = [side for _, side in mine]
+                assert all(type(side) is bool for side in sides), (mode, k, fam)
+                assert sides == ([True] if fam == 3 else [False, True]), (mode, k, fam)
+                for u, side in mine:
+                    assert u == outers[vside == side].tolist(), (mode, k, fam, side)
+
+
+def test_v_side_band_passes_are_full(monkeypatch):
+    # the v side of a family runs as one unit, so its band passes are cut by
+    # CHUNK_CANDIDATES alone: at most floor(live pairs / CHUNK_CANDIDATES) + 1
+    # calls of _band_rows per family
+    from quartic_census import census
+
+    live, passes = {}, {}
+    real_live, real_band = census._live_pairs, census._band_rows
+
+    def live_pairs(ctx, fam, u_v, v):
+        out = real_live(ctx, fam, u_v, v)
+        live[fam] = live.get(fam, 0) + len(out[0])
+        return out
+
+    def band_rows(ctx, fam, u_v, v, root):
+        passes[fam] = passes.get(fam, 0) + 1
+        return real_band(ctx, fam, u_v, v, root)
+
+    monkeypatch.setattr(census, "_live_pairs", live_pairs)
+    monkeypatch.setattr(census, "_band_rows", band_rows)
+    for mode in ("conductor", "discriminant"):
+        live.clear()
+        passes.clear()
+        run_census(CensusConfig(x=10**5, mode=mode))
+        assert sorted(passes) == [1, 2, 3], mode
+        for fam, n in passes.items():
+            assert n <= live[fam] // census.CHUNK_CANDIDATES + 1, (mode, fam, n, live[fam])
+
+
+@pytest.mark.parametrize("size", [1, None])
+def test_x_side_pairs_per_chunk(monkeypatch, size):
+    # the x side builds the (u, x) pairs of at most
+    # ceil(BLOCK_XSCAN / (2 xmax + 1)) outer values per _xrows call, and of
+    # exactly one with BLOCK_XSCAN = 1; the default cap is reached at X = 1e6
+    import numpy as np
+
+    from quartic_census import census
+
+    if size is not None:
+        monkeypatch.setattr(census, "BLOCK_XSCAN", size)
+    seen = []
+    real = census._xrows
+
+    def xrows(w, fam, u, xs):
+        seen.append((len(np.unique(u)), -(-census.BLOCK_XSCAN // (2 * w.xmax + 1))))
+        return real(w, fam, u, xs)
+
+    monkeypatch.setattr(census, "_xrows", xrows)
+    for mode in ("conductor", "discriminant"):
+        seen.clear()
+        run_census(CensusConfig(x=10**6, mode=mode))
+        assert len(seen) > 1, mode
+        assert all(n <= cap for n, cap in seen), (mode, seen)
+        if size == 1:
+            assert all(n == 1 for n, _ in seen), (mode, seen)
+        else:
+            assert any(n == cap > 1 for n, cap in seen), (mode, seen)
+
+
+def test_r2_filter():
+    # a census filtered by r2 keeps that r2 alone: its total is the
+    # unfiltered run's count of that r2, every record has it, its boundary
+    # orbits are its boundary records (C = -A in family 1, C = -4A in family
+    # 2, all with r2 = 1), and its ratio is over the main term of that r2
+    from quartic_census.asymptotics import main_term
+
+    X = 10**5
+    full, _ = count_d4_by_conductor(X)
+    for r2 in (0, 1, 2):
+        s, tal = count_d4_by_conductor(X, r2=r2, emit=True)
+        rec = tal.records
+        assert s["total"] == full["counts"][f"r2_{r2}"] == len(rec) > 0, r2
+        assert (rec[:, 6] == r2).all(), r2
+        fam, A, C = rec[:, 0], rec[:, 1], rec[:, 3]
+        boundary = ((fam == 1) & (C == -A)) | ((fam == 2) & (C == -4 * A))
+        assert s["excluded"]["boundary_orbits"] == int(boundary.sum()), (r2, s["excluded"])
+        assert s["ratio"] == s["total"] / main_term("d4_conductor", X, r2).value, r2
 
 
 def test_record_blocks_consolidate(monkeypatch):

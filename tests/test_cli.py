@@ -107,6 +107,12 @@ def test_validate_rejects_empty_box(capsys, argv):
         [{"no_census": True}, "--out", "{missing}/x.json", "census", "conductor", "--x", "1000"],
         [{"no_census": True}, "--manifest", "{missing}/m.json", "census", "conductor", "--x", "1000"],
         ["--out", "{missing}/d.csv", "densities", "--a-bound", "1", "--primes", "2"],
+        ["--shards", "abc", "census", "conductor", "--x", "100"],
+        [{"env": {"QC_SHARDS": "abc"}}, "family", "1,0,0,0,1"],
+        ["--format", "xml", "family", "1,0,0,0,1"],
+        ["census", "conductor", "--x", "1.5"],
+        ["census", "conductor"],
+        ["no-such-command"],
     ],
 )
 def test_bad_input_is_one_line(capsys, tmp_path, monkeypatch, argv):
@@ -132,6 +138,14 @@ def test_bad_input_is_one_line(capsys, tmp_path, monkeypatch, argv):
 
             monkeypatch.setattr(census, "run_census", never)
     assert_one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["census", "conductor", "--help"]])
+def test_help_is_not_an_error(capsys, argv):
+    # argparse errors are one-line usage errors, but help still exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
 
 def test_densities_csv(capsys, tmp_path):
@@ -166,7 +180,12 @@ def test_census_cli(capsys, tmp_path):
     assert text.splitlines()[0] == "family,A,B,C,disc,conductor,galois,r2"
     man = json.loads(manifest.read_text())
     assert man["command"] == "census"
-    assert "summary" in man["output_hashes"]
+    # the summary hash is of the canonical JSON that output_hash starts from
+    import hashlib
+
+    from quartic_census.census import summary_json
+
+    assert man["output_hashes"]["summary"] == hashlib.sha256(summary_json(summary).encode()).hexdigest()
     assert man["versions"]["quartic_census"]
 
 
@@ -283,14 +302,8 @@ def test_shards_parsed_alike_from_every_source(capsys, tmp_path, monkeypatch, so
     rc, out = run_cli(capsys, *argv_with("2e0"))
     assert rc == 0 and out == want and shards == [2, 2]
     for bad in ("abc", "1.5"):
-        if source == "flag":
-            # argparse rejects the flag itself, naming it, with its usage
-            with pytest.raises(SystemExit) as exc:
-                main(argv_with(bad))
-            assert exc.value.code == 2 and "--shards" in capsys.readouterr().err
-        else:
-            err = assert_one_line_error(capsys, argv_with(bad))
-            assert err.startswith("error: shards: ") and repr(bad) in err, err
+        err = assert_one_line_error(capsys, argv_with(bad))
+        assert err.startswith("error: shards: ") and repr(bad) in err, err
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:
