@@ -23,9 +23,10 @@ x even; family 2: u + v + 2x = 0 mod 16) and in their canonical sign of u,
 the one that takes the boundary pair v = -u.  Both sides test one exact
 integer band, |x^2 - y| <= _gap(|y|): the v side solves it for x, and the
 table bisects on it for its window endpoints at all |x| at once.  The
-table also keeps the largest |y| of each window, so the x side scans
-exactly the x whose window reaches u^2, and the choice of side counts that
-scan exactly.
+table also keeps the largest |y| of each window, which rises and then falls
+with |x|, so the |x| whose window reaches u^2 make one interval (see
+_Windows.span): the x side scans that interval, and the choice of side
+counts it.
 
 The outer values where no candidate can be maximal are skipped before
 either side runs (see _outer_ok): in families 1 and 2 those with an odd
@@ -33,12 +34,11 @@ part that is not squarefree, in family 1 those with A = 0 mod 4, and in
 families 2 and 3 those with u = 0 mod 4, where every candidate has
 2B + C = 0 or C = 0 mod 4 and so fails a 2-adic clause.
 A shard splits each family's remaining outer values by side once (see
-_vside) and runs each side as one unit: one stream of rows of stepped
-ranges (of v on the x side, of x on the v side), expanded into candidates
-that are classified in chunks of at most CHUNK_CANDIDATES.  The x side
-builds its (u, x) pairs for a few outer values at a time (see
-BLOCK_XSCAN), and the v side solves its pairs in pieces of at most
-CHUNK_CANDIDATES, so a unit's memory stays bounded whatever its size.
+_vside) and runs each side as one unit: stepped rows of x (x side) or v
+(v side) at each outer value, expanded into pairs in pieces of at most
+CHUNK_CANDIDATES (see _pairs), give rows of stepped ranges of the other
+coordinate, expanded into candidates that are classified in chunks of at
+most CHUNK_CANDIDATES, so a unit's memory stays bounded whatever its size.
 Classification takes the candidates in (u, v, x) too (_family_coords maps
 them to (A, B, C) for the 2-adic clauses and the records) and tests
 maximality in two stages (see _classify_and_tally): the 2-adic clauses,
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import pickle
 import signal
@@ -89,12 +90,6 @@ X_MAX_V4_COUNT = 10**16
 #: Every shard but the first is a forked process; more are refused.
 SHARDS_MAX = 64
 
-#: The x side builds the (u, x) pairs of ceil(BLOCK_XSCAN / (2*xmax + 1))
-#: outer values at a time, which bounds their memory; larger pieces gain
-#: little time and raise the peak RSS.  Costing each value by its exact scan
-#: (the xlen of _vside) builds 2-8x as many values at once and raised the
-#: in-process peak RSS at X = 6e5 from 34-36 to 40-41 MB (2-vCPU VM).
-BLOCK_XSCAN = 1 << 15
 #: A family-1 or family-2 outer value is enumerated from the v side when its
 #: pairs number at most this many times its x-scan: an x-side (u, x) pair
 #: goes through four window pieces, a v-side pair through one square root.
@@ -106,9 +101,9 @@ BLOCK_XSCAN = 1 << 15
 #: with 4 (and 5) within noise.
 X_PAIR_COST = 3
 #: At most this many candidates go through one classification pass, and at
-#: most this many (u, v) pairs through one band pass on the v side, which
-#: bounds the size of their temporaries (2^15 pairs per band pass raised
-#: the peak RSS of a shard at conductor X = 3e5 by 1.2 MB, at equal speed).
+#: most this many pairs through _xrows or _live_pairs, which bounds the size
+#: of their temporaries (2^15 pairs per band pass raised the peak RSS of a
+#: shard at conductor X = 3e5 by 1.2 MB, at equal speed).
 CHUNK_CANDIDATES = 1 << 13
 #: Records are formatted and hashed this many CSV rows at a time.  The
 #: formatter's temporaries are a few times the chunk's size: on the
@@ -116,9 +111,9 @@ CHUNK_CANDIDATES = 1 << 13
 #: peak RSS was 79.7 MB at 2^12, 80.9 MB at 2^13 and 84.2 MB at 2^14
 #: (79.6 MB with the % formatter at 2^14), at equal speed within noise.
 CSV_CHUNK_ROWS = 1 << 12
-#: Emitted records are kept in blocks of at least this many rows (3.7 MB):
-#: glibc maps blocks that large on their own, so joining them returns their
-#: memory to the OS, where the small block of each pass would stay on the heap.
+#: Emitted records are kept in blocks of at least this many rows (3.7 MB) in
+#: mappings of their own (see _mapped), so joining them returns their memory
+#: to the OS, where the small block of each pass would stay on the heap.
 RECORD_BLOCK_ROWS = 1 << 16
 
 #: Every candidate of every family has |x^2 - y| = 4|w| >= 4, so the window
@@ -186,7 +181,8 @@ class Tallies:
 
     def _flush(self) -> None:
         if self.pending:
-            self.blocks.append(np.concatenate(self.pending))
+            block = _mapped((self.pending_rows, len(RECORD_COLUMNS)))
+            self.blocks.append(np.concatenate(self.pending, out=block))
             self.pending = []
             self.pending_rows = 0
 
@@ -197,7 +193,7 @@ class Tallies:
             # each block is freed once it is copied, so the blocks and the
             # joined table are not held in full at the same time
             n = sum(len(b) for b in self.blocks)
-            rec = np.empty((n, len(RECORD_COLUMNS)), dtype=np.int64, order="F")
+            rec = _mapped((n, len(RECORD_COLUMNS)), order="F")
             while self.blocks:
                 block = self.blocks.pop()
                 rec[n - len(block) : n] = block
@@ -218,6 +214,14 @@ class Tallies:
         if r2 is None:
             return int(self.counts.sum())
         return int(self.counts[:, r2].sum())
+
+
+def _mapped(shape, order="C") -> np.ndarray:
+    """An int64 array over an anonymous mapping of its own, which freeing it
+    always unmaps, whatever glibc's mmap threshold; private, so that a forked
+    shard's copy is copy-on-write, as with malloc."""
+    buf = mmap.mmap(-1, max(8 * shape[0] * shape[1], 1), flags=mmap.MAP_PRIVATE)
+    return np.ndarray(shape, dtype=np.int64, buffer=buf, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,18 @@ class _Windows:
     end comes from one vectorised bisection over all |x| on the test
     |x^2 - y| <= _gap(|y|): y = -t; y = t up to the peak; y = x^2 - t down
     to past the peak; y = x^2 + t.  The two runs next to x^2 start at
-    t = NEAR_SQUARE, and are empty where their far end is nearer."""
+    t = NEAR_SQUARE, and are empty where their far end is nearer.
+
+    reach, the largest |y| of the window at each |x|, is a hill: it rises
+    and then falls.  At each y < x^2, |x^2 - y| grows with |x|, so the far
+    ends of the negative and inner runs shrink; at each y > x^2 it shrinks,
+    so the far ends of the two runs next to x^2 (x^2 - NEAR_SQUARE, and the
+    last y above x^2) grow while those runs are nonempty; and at x = 0 the
+    run above x^2 reaches as far as the negative run.  So the |x| whose
+    window holds some |y| >= u^2 make one interval (see span), but at tiny
+    bounds: at X = 5 to 8 and 13 the run above x^2 is empty at one |x| (2,
+    or 3 at X = 13) where the run below x^2 is empty or short, and reach
+    dips there."""
 
     def __init__(self, bound: int, square: bool):
         # beyond xmax every run is empty: the cheapest point of the window
@@ -288,7 +303,15 @@ class _Windows:
         self.pos_hi = hi[:, :-1].copy()
         # the largest |y| of the window at each |x| (0 where it is empty)
         self.reach = np.maximum(self.neg_hi, self.pos_hi.max(axis=0))
-        self.reach_sorted = np.sort(self.reach)
+        self._rise = np.maximum.accumulate(self.reach)
+        self._fall = np.maximum.accumulate(self.reach[::-1])
+
+    def span(self, ysq):
+        """Elementwise the first and the last |x| whose window holds some
+        |y| >= ysq (first > last where none does), from the running maxima
+        of reach from each end; the |x| between them all hold one but at the
+        dips of the tiny bounds (see the class)."""
+        return np.searchsorted(self._rise, ysq), self.xmax - np.searchsorted(self._fall, ysq)
 
     # unused by the engine; perfbench/tracer.py times contains_mask by name
     def contains_mask(self, ax: np.ndarray, y) -> np.ndarray:
@@ -504,13 +527,6 @@ def _deep_check(ctx: _Ctx, y, g):
 # per-family units
 
 
-def _pruned_xs(w: _Windows, u: int):
-    """Signed x of u's parity whose window holds some |y| >= u^2."""
-    a = np.flatnonzero(w.reach >= u * u)
-    xs = np.concatenate([-a[a > 0][::-1], a])
-    return xs[(xs & 1) == (u & 1)]
-
-
 # perfbench/tracer.py times each family by these three names
 def _family1_unit(ctx: _Ctx, A: np.ndarray, vside: bool, tal: Tallies):
     _unit(ctx, 1, A, vside, tal)
@@ -534,26 +550,25 @@ def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: bool, tal: Tallies):
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
     """Which outer values enumerate from the v side: every one in family 3,
     and in families 1 and 2 those whose pairs number at most X_PAIR_COST
-    times their x-scan, the signed x of one parity of _pruned_xs, about as
-    many as its |x|."""
+    times their x-scan, about as many as the |x| of their span."""
     u = np.asarray(us, dtype=np.int64)
     if fam == 3:
         return np.ones(len(u), dtype=bool)
-    w = ctx.windows
-    xlen = len(w.reach_sorted) - np.searchsorted(w.reach_sorted, u * u)
-    return _v_pairs(ctx, fam, u) <= X_PAIR_COST * xlen
+    lo, hi = ctx.windows.span(u * u)
+    return _v_pairs(ctx, fam, u) <= X_PAIR_COST * np.maximum(hi - lo + 1, 0)
 
 
 def _xside(ctx: _Ctx, fam: int, us: np.ndarray):
     """Row batches of stepped v ranges of the (u, x) pairs of the outer
-    values us over their pruned x-ranges.  The pairs are built for
-    ceil(BLOCK_XSCAN / (2*xmax + 1)) outer values at a time."""
+    values us: the x of u's parity with |x| in the span [lo, hi] of u^2, as
+    the rows -hi .. -max(lo, 1) and lo .. hi, expanded by _pairs."""
     w = ctx.windows
-    per = -(-BLOCK_XSCAN // (2 * w.xmax + 1))
-    for lo in range(0, len(us), per):
-        xs_of = [_pruned_xs(w, u) for u in us[lo : lo + per].tolist()]
-        u = np.repeat(us[lo : lo + per], [len(xs) for xs in xs_of])
-        yield from _xrows(w, fam, u, np.concatenate(xs_of))
+    lo, hi = w.span(us * us)
+    neg = -hi + ((us + hi) & 1)
+    pos = lo + ((us - lo) & 1)
+    rows = [(us, neg, (-np.maximum(lo, 1) - neg) // 2 + 1, 2), (us, pos, (hi - pos) // 2 + 1, 2)]
+    for u, xs in _pairs(rows):
+        yield from _xrows(w, fam, u, xs)
 
 
 #: The canonical sign of u in families 1 and 2, the only one their rows are
@@ -622,9 +637,7 @@ def _vband(ctx: _Ctx, fam: int, us: np.ndarray):
     the (u_v, v) pairs of _vrows are expanded and tested against their band
     at most CHUNK_CANDIDATES at a time, and the x values of the live ones
     are solved in batches of at least CHUNK_CANDIDATES pairs."""
-    u_v, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in _vrows(ctx, fam, us))))
-    pieces = _ragged_pieces(start, count, step, CHUNK_CANDIDATES)
-    live = (_live_pairs(ctx, fam, u_v[r], v) for r, v in pieces)
+    live = (_live_pairs(ctx, fam, u_v, v) for u_v, v in _pairs(_vrows(ctx, fam, us)))
     for pairs in _batched(live, CHUNK_CANDIDATES, lambda pairs: len(pairs[0])):
         yield from _band_rows(ctx, fam, *pairs)
 
@@ -673,6 +686,14 @@ def _band_rows(ctx: _Ctx, fam: int, u_v, v, root):
         yield _rows(u_v, v, first, (b - first) // step + 1, step)
         first = -b + ((res + b) & (step - 1))  # negative x, from -b up to -max(a, 1)
         yield _rows(u_v, v, first, (-np.maximum(a, 1) - first) // step + 1, step)
+
+
+def _pairs(rows):
+    """The (fixed value, value) pairs of the stepped rows (fixed, start,
+    count, step), all joined, in pieces of at most CHUNK_CANDIDATES."""
+    fixed, start, count, step = (np.concatenate(c) for c in zip(*(_rows(*r) for r in rows)))
+    for r, vals in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
+        yield fixed[r], vals
 
 
 def _ragged_pieces(start, count, step, cap):

@@ -481,13 +481,8 @@ def main(argv=None) -> int:
             config_echo.update(
                 {k: v for k, v in vars(args).items() if k not in ("fn", *globals_) and v is not None}
             )
-            _write_manifest(
-                manifest,
-                args.cmd,
-                {k: str(v) for k, v in config_echo.items()},
-                wall,
-                hashes,
-            )
+            # each value is a str, an int or a bool, which JSON keeps as it is
+            _write_manifest(manifest, args.cmd, config_echo, wall, hashes)
     return 0
 
 

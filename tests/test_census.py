@@ -75,6 +75,43 @@ def test_windows_exhaustive(monkeypatch):
                 _check_windows(801, square, 44)
 
 
+def test_window_span():
+    # span(u^2) is the first and the last |x| whose window holds some
+    # |y| >= u^2, for every outer value u <= isqrt(y_eff) + 1: at every X up
+    # to 2,000 against the table itself, in both modes.  So it holds every
+    # such |x|, and is exactly their set wherever that set is one interval,
+    # which it is at every X >= 14 sampled, up to the caps
+    import numpy as np
+
+    from quartic_census import census
+
+    big = [10**5, 6 * 10**5, 10**7]
+    for mode, cap in (("conductor", census.X_MAX_CONDUCTOR), ("discriminant", census.X_MAX_DISC)):
+        gaps = []
+        for X in [*range(1, 2001), *big, cap]:
+            ctx = census._Ctx(CensusConfig(x=X, mode=mode, families=(1,)))
+            w = ctx.windows
+            us = np.arange(1, isqrt(ctx.y_eff) + 2, dtype=np.int64)
+            lo, hi = w.span(us * us)
+            if X <= 2000:
+                held = w.reach[None, :] >= (us * us)[:, None]
+                some = held.any(axis=1)
+                ax = np.arange(w.xmax + 1)
+                assert np.array_equal(lo[some], held[some].argmax(axis=1)), (mode, X)
+                assert np.array_equal(hi[some], w.xmax - held[some, ::-1].argmax(axis=1)), (mode, X)
+                assert (lo[~some] > hi[~some]).all(), (mode, X)
+                inside = (lo[:, None] <= ax) & (ax <= hi[:, None])
+                one = held.sum(axis=1) == np.maximum(hi - lo + 1, 0)
+                assert (held <= inside).all() and np.array_equal(held[one], inside[one]), (mode, X)
+            else:
+                # the number of |x| that hold some |y| >= u^2 fills the span
+                r = np.sort(w.reach)
+                one = len(r) - np.searchsorted(r, us * us) == np.maximum(hi - lo + 1, 0)
+            if not one.all():
+                gaps.append(X)
+        assert gaps == ([6, 7, 8, 13] if mode == "conductor" else [6, 7, 8]), (mode, gaps)
+
+
 def test_one_window_table_per_run(monkeypatch):
     # families 1 and 2 share one table at the bound M = 4^e X - 1; a run of
     # family 3 alone builds none
@@ -333,12 +370,11 @@ def _force_side(monkeypatch, fam, vside):
 
 @pytest.mark.parametrize("size", [1, 10**9])
 def test_block_and_chunk_edges(monkeypatch, size):
-    # the x-side pairs of one outer value per chunk, one (u, v) pair per
-    # v-side piece and one candidate per classification pass, or each side's
-    # pairs in one chunk and one pass: off-by-ones at edges show here
+    # one (u, x) or (u, v) pair per piece of either side and one candidate
+    # per classification pass, or each side's pairs in one piece and one
+    # pass: off-by-ones at edges show here
     from quartic_census import census
 
-    monkeypatch.setattr(census, "BLOCK_XSCAN", size)
     monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
     for mode, pinned in PINNED_HASH_2E4.items():
         # families 1 and 2 run on both sides here, so the pairs of the v side
@@ -419,32 +455,49 @@ def test_v_side_band_passes_are_full(monkeypatch):
 
 @pytest.mark.parametrize("size", [1, None])
 def test_x_side_pairs_per_chunk(monkeypatch, size):
-    # the x side builds the (u, x) pairs of at most
-    # ceil(BLOCK_XSCAN / (2 xmax + 1)) outer values per _xrows call, and of
-    # exactly one with BLOCK_XSCAN = 1; the default cap is reached at X = 1e6
+    # each family's x side passes its (u, x) pairs to _xrows in pieces of
+    # exactly CHUNK_CANDIDATES but the last, and those pairs are the x of
+    # u's parity with |x| in the span of u^2, each once.  At X = 1e6 by
+    # default, and at X = 2e4 with one-pair pieces (at 1e6 those are ~1e5
+    # calls per mode); the x side runs alone, without the classification
     import numpy as np
 
     from quartic_census import census
 
+    X = 10**6
     if size is not None:
-        monkeypatch.setattr(census, "BLOCK_XSCAN", size)
+        monkeypatch.setattr(census, "CHUNK_CANDIDATES", size)
+        X = 20000
     seen = []
     real = census._xrows
 
     def xrows(w, fam, u, xs):
-        seen.append((len(np.unique(u)), -(-census.BLOCK_XSCAN // (2 * w.xmax + 1))))
+        seen.append((u, xs))
         return real(w, fam, u, xs)
 
     monkeypatch.setattr(census, "_xrows", xrows)
     for mode in ("conductor", "discriminant"):
-        seen.clear()
-        run_census(CensusConfig(x=10**6, mode=mode))
-        assert len(seen) > 1, mode
-        assert all(n <= cap for n, cap in seen), (mode, seen)
-        if size == 1:
-            assert all(n == 1 for n, _ in seen), (mode, seen)
-        else:
-            assert any(n == cap > 1 for n, cap in seen), (mode, seen)
+        ctx = census._Ctx(CensusConfig(x=X, mode=mode))
+        w = ctx.windows
+        for fam in (1, 2):
+            us = np.array([u for f, u in ctx.units() if f == fam], dtype=np.int64)
+            us = us[~census._vside(ctx, fam, us)]
+            seen.clear()
+            for _ in census._xside(ctx, fam, us):
+                pass
+            sizes = [len(u) for u, _ in seen]
+            assert len(sizes) > 1, (mode, fam)
+            assert all(n == census.CHUNK_CANDIDATES for n in sizes[:-1]), (mode, fam)
+            assert 0 < sizes[-1] <= census.CHUNK_CANDIDATES, (mode, fam)
+            got = sorted(zip(*(np.concatenate(c).tolist() for c in zip(*seen))))
+            lo, hi = w.span(us * us)
+            want = sorted(
+                (u, x)
+                for u, a, b in zip(us.tolist(), lo.tolist(), hi.tolist())
+                for x in range(-b, b + 1)
+                if abs(x) >= a and (x - u) % 2 == 0
+            )
+            assert got == want, (mode, fam)
 
 
 def test_r2_filter():
@@ -782,9 +835,10 @@ def test_squarefree_lookups_stay_within_the_table(monkeypatch):
 
 
 def test_pruned_xs_keeps_every_row():
-    # the x side scans only _pruned_xs at each outer value: every x of u's
-    # parity with a nonempty row of _xrows at any outer value u must be
-    # among them (u = 4|A| for family 1), and some x are pruned
+    # the x side scans only the |x| of the span of u^2 at each outer value:
+    # every x of u's parity with a nonempty row of _xrows at any outer value
+    # u must have its |x| there (u = 4|A| for family 1), and some x are
+    # pruned
     import numpy as np
 
     from quartic_census import census
@@ -801,11 +855,12 @@ def test_pruned_xs_keeps_every_row():
             rows = list(census._xrows(w, fam, u, xs))
             row_u = np.abs(np.concatenate([r[0] for r in rows]))
             row_x = np.concatenate([r[1] for r in rows])
+            lo, hi = w.span(outers * outers)
             scanned = 0
-            for a in outers.tolist():
-                pruned = census._pruned_xs(w, a)
-                assert np.isin(row_x[row_u == a], pruned).all(), (mode, fam, a)
-                scanned += len(pruned)
+            for a, first, last in zip(outers.tolist(), lo.tolist(), hi.tolist()):
+                ax = np.abs(row_x[row_u == a])
+                assert ((first <= ax) & (ax <= last)).all(), (mode, fam, a)
+                scanned += int(((first <= np.abs(x)) & (np.abs(x) <= last) & ((x - a) % 2 == 0)).sum())
             assert len(row_x) > 0 and scanned < len(xs), (mode, fam)
 
 
@@ -1362,3 +1417,28 @@ def test_csv_formatter_matches_reference(monkeypatch, rows_per_chunk):
     tal.add_records(np.array([[1, 2, 3, 4, -(2**63), 6, 0]], dtype=np.int64))
     with pytest.raises(AssertionError):
         records_csv(tal)
+
+
+def test_benchmark_references():
+    # the benchmark's correctness gate: the smallest pinned X of each census
+    # workload of perfbench/run.py, computed as perfbench/worker.py does,
+    # matches perfbench/references.json in every field the benchmark checks
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    refs = json.loads((bench / "references.json").read_text())
+    census_workloads = {k: w for k, w in run.WORKLOADS.items() if w["kind"] == "census"}
+    assert sorted(census_workloads) == sorted(refs)
+    for name, work in census_workloads.items():
+        x = min(int(k) for k in refs[name])
+        cfg = CensusConfig(x=x, mode=work["mode"], shards=work["shards"], emit=work["emit"])
+        tal = run_census(cfg)
+        summary = summarize(cfg, tal)
+        got = dict(summary, output_hash=output_hash(summary, tal if cfg.emit else None))
+        for field in run.pinned_fields(work):
+            assert got[field] == refs[name][str(x)][field], (name, x, field)

@@ -180,6 +180,9 @@ def test_census_cli(capsys, tmp_path):
     assert text.splitlines()[0] == "family,A,B,C,disc,conductor,galois,r2"
     man = json.loads(manifest.read_text())
     assert man["command"] == "census"
+    # resolved values keep their types: numbers are JSON numbers
+    assert man["config"]["x"] == 2000
+    assert man["shards"] == man["config"]["shards"] == 1
     # the summary hash is of the canonical JSON that output_hash starts from
     import hashlib
 
