@@ -1,6 +1,5 @@
 """Exact desk-scale censuses: dihedral-field counts by conductor and by
-discriminant, the symmetric-family count by discriminant, and a brute-force
-class oracle for tiny bounds.
+discriminant, and the symmetric-family count by discriminant.
 
 Enumeration strategy: every family is written in coordinates (u, v, x)
 with y built from (u, v) and x^2 - y = +-4w, w = B^2 - 4AC (minus in family
@@ -79,7 +78,6 @@ import numpy as np
 from .arith import PackedSquarefree, vec_is_square, vec_isqrt
 # factorize is unused here, but perfbench/tracer.py times census.factorize
 from .arith import factorize  # noqa: F401
-from .forms import BinQuartForm, FamilyCoords, disc_quartic
 from .maximality import vec_is_maximal_at
 
 #: int64 safety caps for the vectorized engines (explicit errors above).
@@ -111,10 +109,6 @@ CHUNK_CANDIDATES = 1 << 13
 #: peak RSS was 79.7 MB at 2^12, 80.9 MB at 2^13 and 84.2 MB at 2^14
 #: (79.6 MB with the % formatter at 2^14), at equal speed within noise.
 CSV_CHUNK_ROWS = 1 << 12
-#: Emitted records are kept in blocks of at least this many rows (3.7 MB) in
-#: mappings of their own (see _mapped), so joining them returns their memory
-#: to the OS, where the small block of each pass would stay on the heap.
-RECORD_BLOCK_ROWS = 1 << 16
 
 #: Every candidate of every family has |x^2 - y| = 4|w| >= 4, so the window
 #: table leaves out the y nearer x^2 than this above the peak.
@@ -159,37 +153,29 @@ class CensusConfig:
 class Tallies:
     """Order-independent aggregation of census results.
 
-    Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS.
-    `add_records` gathers the rows of each pass as pending until they make a
-    block of RECORD_BLOCK_ROWS; `records` joins all of them on first use into
-    one array in column order (order="F"), so that the sort's permutation and
-    the CSV formatter read each column as one contiguous run."""
+    Emitted records are int64 blocks of rows laid out as RECORD_COLUMNS, in
+    column order (order="F"), each in a mapping of its own (see _mapped):
+    `add_records` writes one block per classification pass, and `records`
+    joins all of them on first use into one such array, so that the sort's
+    permutation and the CSV formatter read each column as one contiguous
+    run, and the join frees each block back to the OS as it goes."""
 
     def __init__(self, galois: str):
         self.counts = np.zeros((4, 3), dtype=np.int64)  # [family][r2]
         self.excluded = {"c4": 0, "v4": 0, "reducible": 0, "boundary_orbits": 0}
         self.galois = galois  # the tag of every record
         self.blocks: list[np.ndarray] = []
-        self.pending: list[np.ndarray] = []
-        self.pending_rows = 0
 
-    def add_records(self, rows: np.ndarray) -> None:
-        self.pending.append(rows)
-        self.pending_rows += len(rows)
-        if self.pending_rows >= RECORD_BLOCK_ROWS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self.pending:
-            block = _mapped((self.pending_rows, len(RECORD_COLUMNS)))
-            self.blocks.append(np.concatenate(self.pending, out=block))
-            self.pending = []
-            self.pending_rows = 0
+    def add_records(self, *columns) -> None:
+        """Append one block from its RECORD_COLUMNS columns (the family may be a scalar)."""
+        block = _mapped((len(columns[-1]), len(RECORD_COLUMNS)), order="F")
+        for k, col in enumerate(columns):
+            block[:, k] = col
+        self.blocks.append(block)
 
     @property
     def records(self) -> np.ndarray:
-        self._flush()
-        if len(self.blocks) != 1 or not self.blocks[0].flags.f_contiguous:
+        if len(self.blocks) != 1:
             # each block is freed once it is copied, so the blocks and the
             # joined table are not held in full at the same time
             n = sum(len(b) for b in self.blocks)
@@ -206,8 +192,6 @@ class Tallies:
         for k in self.excluded:
             self.excluded[k] += other.excluded[k]
         self.blocks.extend(other.blocks)
-        self.pending.extend(other.pending)
-        self.pending_rows += other.pending_rows
         return self
 
     def total(self, r2: int | None = None) -> int:
@@ -420,7 +404,8 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
     record too.  The boundary pairs v = -u (families 1 and 2) weigh 1: the
     mirror of one is a boundary pair of the other sign, in the class of
     (u, -u, -x), which is a candidate of its own; each such orbit is passed
-    through its canonical member only.
+    through its canonical member only.  With emit, the pass's records go to
+    Tallies.add_records as one block: the kept rows, then their mirrors.
     """
     cfg = ctx.config
     A, B, C = _family_coords(fam, u, v, x)
@@ -460,12 +445,11 @@ def _classify_and_tally(ctx: _Ctx, fam: int, u, v, x, y, w, tal: Tallies):
         tal.counts[fam][r2] += int(weight[keep & (r2v == r2)].sum())
 
     if cfg.emit and keep.any():
+        # s = -1 on the mirrors, of the kept rows but the boundary pairs
         k = np.flatnonzero(keep)
-        # the kept rows, then their mirrors, each added as at most one pass's rows
-        for j, s in ((k, 1), (k[~boundary[k]], -1)):
-            fams = np.full(len(j), fam, dtype=np.int64)
-            sB = 1 if fam == 3 else s
-            tal.add_records(np.stack([fams, s * A[j], sB * B[j], s * C[j], disc[j], conductor[j], r2v[j]]).T)
+        j = np.concatenate([k, k[~boundary[k]]])
+        s = np.where(np.arange(len(j)) < len(k), 1, -1)
+        tal.add_records(fam, s * A[j], (1 if fam == 3 else s) * B[j], s * C[j], disc[j], conductor[j], r2v[j])
 
 
 def _family_coords(fam: int, u, v, x):
@@ -540,11 +524,21 @@ def _family3_unit(ctx: _Ctx, u: np.ndarray, vside: bool, tal: Tallies):
     _unit(ctx, 3, u, vside, tal)
 
 
-def _unit(ctx: _Ctx, fam: int, u: np.ndarray, vside: bool, tal: Tallies):
-    """The outer values u of family fam that one shard runs on one side, the
-    v side if vside, else the x side, as one stream of row batches."""
-    rows = _vband(ctx, fam, u) if vside else _xside(ctx, fam, u)
-    _emit_rows(ctx, fam, rows, tal, over_x=vside)
+def _unit(ctx: _Ctx, fam: int, us: np.ndarray, vside: bool, tal: Tallies):
+    """Classify the candidates of the outer values us of family fam that one
+    shard runs on one side: a stream of row batches (u, v, x ranges) on the
+    v side if vside, else (u, x, v ranges), with w = +-(x^2 - y)/4 (minus in
+    family 3).  Batches are held back until they reach CHUNK_CANDIDATES
+    candidates, so the unit's rows never sit in memory all at once, and
+    expanded at most CHUNK_CANDIDATES candidates per classification pass."""
+    rows = _vband(ctx, fam, us) if vside else _xside(ctx, fam, us)
+    for u_v, fixed, start, count, step in _batched(rows, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
+        for r, vals in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
+            u = u_v[r]
+            v, x = (fixed[r], vals) if vside else (vals, fixed[r])
+            y = _pair_y(fam, u, v)
+            w = (x * x - y) >> 2 if fam != 3 else (y - x * x) >> 2
+            _classify_and_tally(ctx, fam, u, v, x, y, w, tal)
 
 
 def _vside(ctx: _Ctx, fam: int, us) -> np.ndarray:
@@ -734,21 +728,6 @@ def _batched(stream, cap, size):
             pending, n = [], 0
     if n:
         yield [np.concatenate(c) for c in zip(*pending)]
-
-
-def _emit_rows(ctx, fam, batches, tal, over_x=False):
-    """Classify the candidates of a stream of row batches (u, v, x ranges) if
-    over_x, else (u, x, v ranges), with w = +-(x^2 - y)/4 (minus in family
-    3).  Batches are held back until they reach CHUNK_CANDIDATES candidates,
-    so one unit's rows never sit in memory all at once, and expanded at
-    most CHUNK_CANDIDATES candidates per classification pass."""
-    for u_v, fixed, start, count, step in _batched(batches, CHUNK_CANDIDATES, lambda rows: int(rows[3].sum())):
-        for r, vals in _ragged_pieces(start, count, step, CHUNK_CANDIDATES):
-            u = u_v[r]
-            v, x = (fixed[r], vals) if over_x else (vals, fixed[r])
-            y = _pair_y(fam, u, v)
-            w = (x * x - y) >> 2 if fam != 3 else (y - x * x) >> 2
-            _classify_and_tally(ctx, fam, u, v, x, y, w, tal)
 
 
 # ---------------------------------------------------------------------------
@@ -989,112 +968,6 @@ def count_v4_by_disc(X: int) -> int:
         okm = base & vec_is_maximal_at(1, aA, -b, aA, 2)
         total += 2 * int(okp.sum()) + 2 * int((okm & (b > 0)).sum())
     return total
-
-
-# ---------------------------------------------------------------------------
-# brute-force class oracle
-
-
-_GEN_MATRICES = (
-    (1, 1, 0, 1),
-    (1, -1, 0, 1),
-    (0, 1, 1, 0),
-    (1, 0, 0, -1),
-)
-
-
-def _act_tuple(co, T):
-    from .forms import GL2Mat, act_quartic
-
-    return act_quartic(BinQuartForm(*co), GL2Mat(*T)).coeffs()
-
-
-def brute_force_class_oracle(height: int) -> list[dict]:
-    """Ground-truth class list for tiny boxes: orbits of family forms with
-    coefficients bounded by `height`, grouped by generator BFS over forms
-    with coefficients bounded by 3 * height.
-
-    Returns one entry per class: representative family coordinates, Galois
-    tag, conductor, disc and r2, with cross-member consistency asserted.
-    Only classes meeting the three families are produced (the census never
-    needs the others); grouping is BFS over GL2(Z) generators, independent of
-    the canonical-representative theory.
-    """
-    from .classify import family_real_signature, galois_tag
-    from .forms import family_membership, from_form, to_form
-    from .maximality import is_maximal
-    from .resolvent import conductor_poly
-
-    cap = 3 * height
-    seeds = []
-    for fam in (1, 2, 3):
-        for A in range(-height, height + 1):
-            for B in range(-height, height + 1):
-                for C in range(-height, height + 1):
-                    co = to_form(FamilyCoords(fam, A, B, C))
-                    if max(abs(v) for v in co.coeffs()) > height:
-                        continue
-                    if A != 0 and disc_quartic(co) != 0:
-                        seeds.append(co.coeffs())
-    seen: dict[tuple, int] = {}
-    classes = []
-    for seed in seeds:
-        if seed in seen:
-            continue
-        orbit_id = len(classes)
-        stack = [seed]
-        members = []
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen[f] = orbit_id
-            members.append(f)
-            for T in _GEN_MATRICES:
-                g = _act_tuple(f, T)
-                if max(abs(v) for v in g) <= cap and g not in seen:
-                    stack.append(g)
-        infos = []
-        for f in members:
-            F = BinQuartForm(*f)
-            for fam in sorted(family_membership(F)):
-                c = from_form(F, fam)
-                if c.A == 0:
-                    continue
-                infos.append(
-                    {
-                        "family": fam,
-                        "coords": c,
-                        "tag": galois_tag(c).value,
-                        "conductor": conductor_poly(c),
-                        "disc": disc_quartic(F),
-                        "r2": family_real_signature(c).r2,
-                        "maximal": is_maximal(c).is_maximal,
-                    }
-                )
-        if not infos:
-            classes.append(None)
-            continue
-        tags = {i["tag"] for i in infos}
-        discs = {i["disc"] for i in infos}
-        maxs = {i["maximal"] for i in infos}
-        assert len(tags) == 1 and len(discs) == 1 and len(maxs) == 1, infos
-        conds = {abs(i["conductor"]) for i in infos}
-        if infos[0]["tag"] in ("d4", "c4"):
-            # the invariant conductor needs the distinguished J, which is
-            # unique only outside the Klein case
-            assert len(conds) == 1, infos
-        classes.append(
-            {
-                "members": [i["coords"] for i in infos],
-                "tag": infos[0]["tag"],
-                "conductor": infos[0]["conductor"] if len(conds) == 1 else None,
-                "disc": infos[0]["disc"],
-                "r2": infos[0]["r2"],
-                "maximal": infos[0]["maximal"],
-            }
-        )
-    return [c for c in classes if c is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,10 @@ def test_criterion_7_d4_conductor_census():
 
 
 def test_criterion_8_pipeline_ground_truth():
+    from class_oracle import brute_force_class_oracle
+
     from quartic_census.census import (
         CensusConfig,
-        brute_force_class_oracle,
         count_v4_by_disc,
         run_census,
     )

@@ -5,12 +5,12 @@ import signal
 from math import isqrt
 
 import pytest
+from class_oracle import brute_force_class_oracle
 
 from quartic_census.census import (
     SHARDS_MAX,
     CensusConfig,
     Tallies,
-    brute_force_class_oracle,
     count_d4_by_conductor,
     count_d4_by_disc,
     count_v4_by_disc,
@@ -520,36 +520,52 @@ def test_r2_filter():
         assert s["ratio"] == s["total"] / main_term("d4_conductor", X, r2).value, r2
 
 
-def test_record_blocks_consolidate(monkeypatch):
-    # passes of at most 16 candidates gathered into blocks of 64 rows, so
-    # that small X make many blocks of several passes each: no output can
-    # change, and a shard keeps full blocks plus at most one partial one
+def test_record_blocks_one_per_pass(monkeypatch):
+    # passes of at most 16 candidates, so that small X make many blocks: no
+    # output can change, each pass that keeps a record adds one block of at
+    # most two rows per candidate, column-major in a mapping of its own, and
+    # the joined table is one such array too
+    import mmap
+
     from quartic_census import census
 
     monkeypatch.setattr(census, "CHUNK_CANDIDATES", 16)
-    monkeypatch.setattr(census, "RECORD_BLOCK_ROWS", 64)
     for mode, pinned in PINNED_HASH_2E4.items():
         assert _hash_2e4(mode) == pinned, mode
     cfg, tal = _run_emit(10**5, "conductor", shards=2)
     assert output_hash(summarize(cfg, tal), tal) == PINNED_HASH_1E5
 
+    kept, added = [], []  # per pass, whether it kept a record; per call, its rows
+    classify, add_records = census._classify_and_tally, Tallies.add_records
+
+    def counted_classify(ctx, fam, u, v, x, y, w, tal):
+        before = tal.total()
+        classify(ctx, fam, u, v, x, y, w, tal)
+        kept.append(tal.total() > before)
+
+    def counted_add(self, *columns):
+        added.append(len(columns[-1]))
+        add_records(self, *columns)
+
+    monkeypatch.setattr(census, "_classify_and_tally", counted_classify)
+    monkeypatch.setattr(Tallies, "add_records", counted_add)
     ctx = census._Ctx(CensusConfig(x=20000, emit=True))
     tal = census._run_shard(ctx, ctx.units(), Tallies("d4"))
-    assert len(tal.blocks) > 10 and all(64 <= len(b) < 64 + 16 for b in tal.blocks)
-    assert tal.pending_rows == sum(len(b) for b in tal.pending) < 64
-    assert len(tal.records) == tal.total() > 0
-    assert len(tal.blocks) == 1 and tal.pending == []
-    # joined in column order, which the sort and the CSV formatter read
-    assert tal.records.flags.f_contiguous
+    assert len(tal.blocks) == len(added) == sum(kept) > 10
+    for block, n in zip(tal.blocks, added):
+        assert len(block) == n <= 2 * 16
+        assert block.flags.f_contiguous and isinstance(block.base, mmap.mmap)
+    rec = tal.records
+    assert len(rec) == tal.total() > 0
+    assert rec.flags.f_contiguous and isinstance(rec.base, mmap.mmap)
 
-    # merge carries the pending rows of both sides
+    # the merge of two half-shards holds the whole run's records
     units = ctx.units()
     parts = [census._run_shard(ctx, units[k::2], Tallies("d4")) for k in (0, 1)]
-    assert parts[0].pending and parts[1].pending
     merged = parts[0].merge(parts[1])
-    census._sort_records(tal.records)
+    census._sort_records(rec)
     census._sort_records(merged.records)
-    assert (merged.records == tal.records).all()
+    assert (merged.records == rec).all()
 
 
 def _lexsorted(rec):
@@ -1401,7 +1417,7 @@ def test_csv_formatter_matches_reference(monkeypatch, rows_per_chunk):
         table = _random_records(seed, n)
         for rows in (table, table[:0], np.asfortranarray(table)):
             tal = Tallies(tag)
-            tal.add_records(rows)
+            tal.add_records(*rows.T)
             want = _csv_reference(tal)
             assert records_csv(tal) == want, (seed, len(rows))
             out = io.BytesIO()
@@ -1414,7 +1430,7 @@ def test_csv_formatter_matches_reference(monkeypatch, rows_per_chunk):
     assert widths == set(range(1, 20))
     # -2^63 has no int64 magnitude: refused, not misprinted
     tal = Tallies("d4")
-    tal.add_records(np.array([[1, 2, 3, 4, -(2**63), 6, 0]], dtype=np.int64))
+    tal.add_records(*np.array([[1, 2, 3, 4, -(2**63), 6, 0]], dtype=np.int64).T)
     with pytest.raises(AssertionError):
         records_csv(tal)
 

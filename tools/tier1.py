@@ -5,12 +5,13 @@
 Runs the tier-1 command of ROADMAP.md (`python -m pytest -q
 --continue-on-collection-errors` from the repository root, with src/ on
 PYTHONPATH) with a JUnit XML report in a temporary directory, then prints
-the passed, failed and skipped counts and the wall time.  It exits 0 only
-when the failures are exactly acceptance criteria 1, 5 and 6, which pin
-published constants that the code shows to be misprints and so fail by
-design.  Any other failure exits 1, and so does any of those three passing,
-since that would be news.  It takes no arguments, and it deselects, skips
-and xfails nothing.
+the passed, failed and skipped counts, the wall time, and the line count of
+src/quartic_census/*.py that each change reports before and after.  It
+exits 0 only when the failures are exactly acceptance criteria 1, 5 and 6,
+which pin published constants that the code shows to be misprints and so
+fail by design.  Any other failure exits 1, and so does any of those three
+passing, since that would be news.  It takes no arguments, and it
+deselects, skips and xfails nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ def main() -> int:
         results = outcomes(report)
     failed = {test for test, outcome in results.items() if outcome == "failed"}
     n = {kind: sum(outcome == kind for outcome in results.values()) for kind in ("passed", "failed", "skipped")}
-    print(f"tier-1: {n['passed']} passed, {n['failed']} failed, {n['skipped']} skipped in {wall:.1f} s")
+    src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "quartic_census").glob("*.py"))
+    print(
+        f"tier-1: {n['passed']} passed, {n['failed']} failed, {n['skipped']} skipped in {wall:.1f} s;"
+        f" src/quartic_census/*.py: {src_lines} lines"
+    )
     for test in sorted(failed - EXPECTED_FAILURES):
         print(f"tier-1: unexpected failure: {test}")
     for test in sorted(EXPECTED_FAILURES - failed):
